@@ -25,9 +25,12 @@ from .codes import (
 from .geometry import (
     BallConstraintError,
     CoverParseError,
+    DimensionCapError,
+    HyperplaneBudgetError,
     MixedRelationsError,
     NonFullDimensionalRegionError,
     TransformError,
+    arrangement_cells,
     check_nondegeneracy,
     code_of_cover,
     cover_from_text,
@@ -278,20 +281,25 @@ def cmd_cover_code(args) -> int:
         return EXIT_OK
 
     try:
-        code, atlas = code_of_cover(cover)
+        cells = arrangement_cells(cover)
     except BallConstraintError:
         print(
             "cover carries ball constraints; exact mode unavailable, rerun with --sample N",
             file=sys.stderr,
         )
         return EXIT_CAPABILITY
+    except HyperplaneBudgetError as exc:
+        print(f"over budget: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    # the code, non-degeneracy and invariance all read this one arrangement
+    code, atlas = code_of_cover(cover, cells)
     print("code: " + " ".join(word_label(w, code.n) for w in code.sorted_words()))
     for w in code.sorted_words():
         print(f"cells {word_label(w, code.n)}: {len(atlas[w])}")
     if args.nondegen:
         try:
-            rep = check_nondegeneracy(cover)
-        except (NonFullDimensionalRegionError, BallConstraintError) as exc:
+            rep = check_nondegeneracy(cover, cells)
+        except (NonFullDimensionalRegionError, DimensionCapError) as exc:
             print(f"cannot check non-degeneracy: {exc}", file=sys.stderr)
             return EXIT_CAPABILITY
         print(f"cond_i: {str(rep.cond_i).lower()}")
@@ -303,8 +311,8 @@ def cmd_cover_code(args) -> int:
             )
     if args.invariance:
         try:
-            inv = verify_closure_interior_invariance(cover)
-        except (MixedRelationsError, TransformError, BallConstraintError) as exc:
+            inv = verify_closure_interior_invariance(cover, cells)
+        except (MixedRelationsError, TransformError, DimensionCapError) as exc:
             print(f"cannot check invariance: {exc}", file=sys.stderr)
             return EXIT_CAPABILITY
         if inv.code_equal_cl is not None:

@@ -1,11 +1,16 @@
 """Exact rational polyhedral engine.
 
 Feasibility of mixed strict/weak linear systems is decided by
-Fourier-Motzkin elimination over `fractions.Fraction`, cells of a
-hyperplane arrangement are enumerated as feasible sign vectors with exact
-witness points, and the code of a polyhedral cover is read off the cell
-lattice.  Regions may carry one optional ball constraint; balls leave the
-exact fragment and are handled only by seeded Monte Carlo sampling.
+Fourier-Motzkin elimination on primitive integer rows (each row divided by
+its gcd, parallel rows merged to the binding one); `Fraction` appears only
+when the witness is built back.  Cells of a hyperplane arrangement are
+enumerated as feasible sign vectors with exact witness points, refining
+one plane at a time with at most one feasibility call per (cell, plane):
+the other signs follow from the convexity and relative openness of cells.
+The code of a polyhedral cover is read off the cell lattice.  Regions may
+carry one optional ball constraint; balls leave the exact fragment and are
+handled only by seeded Monte Carlo sampling, whose points are held as
+integers over a common denominator and classified exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .codes import Code, word_key, word_label, word_neurons
@@ -191,54 +197,81 @@ def closed_interval(lo, hi) -> ConvexRegion:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility
+# Fourier-Motzkin feasibility on integer rows
 
-# A constraint is (coeffs, bound, strict) meaning coeffs . x < bound
-# (strict) or <= bound.  Equalities are split into two weak constraints.
-
-
-def _normalize(con):
-    coeffs, bound, strict = con
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead is None:
-        return con
-    scale = abs(lead)
-    return (tuple(c / scale for c in coeffs), bound / scale, strict)
+# The system is kept as a dict key -> (k, b, strict), one entry per direction:
+# the row k * (key . x) < b when strict, else <= b.  key is a primitive
+# integer vector (gcd 1), k > 0 and gcd(k, b) = 1, so parallel rows share a
+# key and the binding one is found by comparing the bounds b / k.  A row whose
+# normal is zero never enters a system; it is decided where it appears.
 
 
-def _prune(cons):
-    """Group parallel constraints, keep the binding one; detect 0 < c failures."""
-    best: dict[Vec, tuple[Fraction, bool]] = {}
-    for coeffs, bound, strict in cons:
-        if not any(coeffs):
-            if bound < 0 or (strict and bound == 0):
-                return None
-            continue
-        cur = best.get(coeffs)
-        if cur is None or bound < cur[0] or (bound == cur[0] and strict and not cur[1]):
-            best[coeffs] = (bound, strict)
-    return [(c, b, s) for c, (b, s) in best.items()]
+def _rational(x) -> int | Fraction:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _eliminate(cons, j):
-    """Project out variable j (1-based); input constraints use vars 1..j."""
-    zero, lows, ups = [], [], []
-    for con in cons:
-        aj = con[0][j - 1]
-        if aj == 0:
-            zero.append(con)
-        elif aj > 0:
-            ups.append(con)
+def _int_row(normal, offset) -> tuple[tuple[int, ...], int]:
+    """(normal, offset) times the least positive integer that clears denominators."""
+    if type(offset) is int and all(type(x) is int for x in normal):
+        return tuple(normal), offset
+    a = [_rational(x) for x in normal]
+    b = _rational(offset)
+    den = lcm(b.denominator, *(x.denominator for x in a))
+    return (
+        tuple(x.numerator * (den // x.denominator) for x in a),
+        b.numerator * (den // b.denominator),
+    )
+
+
+def _merge(best: dict, coeffs: tuple[int, ...], num: int, den: int, strict: bool) -> bool:
+    """Add coeffs . x < num / den (<= unless strict; den > 0) to the system,
+    keeping the binding row of each direction.  False if the row reads 0 < c
+    or 0 <= c and is false."""
+    g = gcd(*coeffs)
+    if g == 0:
+        return num > 0 or (num == 0 and not strict)
+    key = coeffs if g == 1 else tuple(c // g for c in coeffs)
+    k = den * g
+    h = gcd(k, num)
+    if h != 1:
+        k //= h
+        num //= h
+    cur = best.get(key)
+    if cur is not None:
+        ck, cb, cs = cur
+        new, old = num * ck, cb * k
+        if new > old or (new == old and (cs or not strict)):
+            return True
+    best[key] = (k, num, strict)
+    return True
+
+
+def _eliminate(rows: dict, j: int) -> dict | None:
+    """Project out variable j (1-based) from rows over vars 1..j; None if a
+    contradiction appears."""
+    out: dict = {}
+    lows, ups = [], []
+    for key, row in rows.items():
+        a = key[j - 1]
+        if a == 0:
+            out[key[:-1]] = row
+        elif a > 0:
+            ups.append((key, row))
         else:
-            lows.append(con)
-    out = list(zero)
-    for la, lb, ls in lows:
-        p = -la[j - 1]
-        for ua, ub, us in ups:
-            q = ua[j - 1]
-            coeffs = tuple(q * x + p * y for x, y in zip(la, ua))
-            out.append((coeffs, q * lb + p * ub, ls or us))
-    return [_normalize(c) for c in out]
+            lows.append((key, row))
+    for lkey, (lk, lb, ls) in lows:
+        lq = -lkey[j - 1]
+        for ukey, (uk, ub, us) in ups:
+            # uj * low + (-lj) * up, with the coefficient gcd taken out
+            p, q = ukey[j - 1], lq
+            g = gcd(p, q)
+            if g != 1:
+                p //= g
+                q //= g
+            coeffs = tuple(p * x + q * y for x, y in zip(lkey[:-1], ukey))
+            if not _merge(out, coeffs, p * lb * uk + q * ub * lk, lk * uk, ls or us):
+                return None
+    return out
 
 
 def feasible(
@@ -250,69 +283,81 @@ def feasible(
 
     Each constraint is (normal, offset, rel) with rel one of '<', '<=', '='.
     Returns a rational witness satisfying every constraint, or None.
+    Variables are eliminated from the last to the first on integer rows;
+    the witness is built back from the first variable, taking the midpoint
+    of its bounds, the bound -/+ 1 when only one side is bounded, or 0.
     """
-    cons = []
+    rows = []
     d = dimension
     for normal, offset, rel in constraints:
-        a = tuple(Fraction(x) for x in normal)
-        b = Fraction(offset)
+        a, b = _int_row(normal, offset)
         if d is None:
             d = len(a)
         elif len(a) != d:
             raise ValueError("constraint dimension mismatch")
-        if rel == "<":
-            cons.append((a, b, True))
-        elif rel == "<=":
-            cons.append((a, b, False))
-        elif rel == "=":
-            cons.append((a, b, False))
-            cons.append((tuple(-x for x in a), -b, False))
-        else:
+        if rel not in ("<", "<=", "="):
             raise ValueError(f"unknown relation {rel!r}")
+        rows.append((a, b, rel))
     if d is None:
         return ()
     if d > dimension_cap:
         raise DimensionCapError(f"dimension {d} exceeds cap {dimension_cap}")
 
-    per_var: list = [None] * (d + 1)
-    per_var[d] = _prune([_normalize(c) for c in cons])
-    if per_var[d] is None:
-        return None
-    for j in range(d, 0, -1):
-        nxt = _prune(_eliminate(per_var[j], j))
-        if nxt is None:
+    system: dict = {}
+    for a, b, rel in rows:
+        if not _merge(system, a, b, 1, rel == "<"):
             return None
-        per_var[j - 1] = nxt
+        if rel == "=" and not _merge(system, tuple(-x for x in a), -b, 1, False):
+            return None
+    per_var: list = [None] * (d + 1)
+    per_var[d] = system
+    for j in range(d, 0, -1):
+        system = _eliminate(system, j)
+        if system is None:
+            return None
+        per_var[j - 1] = system
 
+    # back-substitution; the witness so far is wnum / wden
     witness: list[Fraction] = []
+    wnum: list[int] = []
+    wden = 1
     for j in range(1, d + 1):
-        lo = hi = None  # (value, strict)
-        for coeffs, bound, strict in per_var[j]:
-            aj = coeffs[j - 1]
+        lo = hi = None  # (numerator, positive denominator, strict)
+        for key, (k, b, strict) in per_var[j].items():
+            aj = key[j - 1]
             if aj == 0:
                 continue
-            partial = sum(
-                (coeffs[k] * witness[k] for k in range(j - 1)), Fraction(0)
-            )
-            val = (bound - partial) / aj
+            # k * (key . x) < b  gives  aj * x_j < b / k - partial
+            rest = b * wden - k * sum(c * w for c, w in zip(key, wnum))
             if aj > 0:
-                if hi is None or val < hi[0] or (val == hi[0] and strict):
-                    hi = (val, strict)
+                num, den = rest, k * wden * aj
+                if hi is None or num * hi[1] < hi[0] * den or (
+                    num * hi[1] == hi[0] * den and strict
+                ):
+                    hi = (num, den, strict)
             else:
-                if lo is None or val > lo[0] or (val == lo[0] and strict):
-                    lo = (val, strict)
+                num, den = -rest, k * wden * -aj
+                if lo is None or num * lo[1] > lo[0] * den or (
+                    num * lo[1] == lo[0] * den and strict
+                ):
+                    lo = (num, den, strict)
         if lo is None and hi is None:
-            witness.append(Fraction(0))
+            x = Fraction(0)
         elif lo is None:
-            witness.append(hi[0] - 1)
+            x = Fraction(hi[0] - hi[1], hi[1])
         elif hi is None:
-            witness.append(lo[0] + 1)
-        elif lo[0] < hi[0]:
-            witness.append((lo[0] + hi[0]) / 2)
+            x = Fraction(lo[0] + lo[1], lo[1])
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            x = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
         else:
             # elimination guarantees lo == hi with both bounds weak
-            assert lo[0] == hi[0] and not lo[1] and not hi[1]
-            witness.append(lo[0])
+            assert lo[0] * hi[1] == hi[0] * lo[1] and not lo[2] and not hi[2]
+            x = Fraction(lo[0], lo[1])
+        witness.append(x)
+        scale = lcm(wden, x.denominator)
+        wnum = [w * (scale // wden) for w in wnum]
+        wnum.append(x.numerator * (scale // x.denominator))
+        wden = scale
     return tuple(witness)
 
 
@@ -356,11 +401,6 @@ def canonical_hyperplane(normal: Vec, offset: Fraction) -> tuple[tuple[Vec, Frac
     return (v, b), orient
 
 
-def _point_sign(plane: tuple[Vec, Fraction], x: Vec) -> int:
-    v = dot(plane[0], x) - plane[1]
-    return (v > 0) - (v < 0)
-
-
 def enumerate_cells(
     hyperplanes: Sequence[tuple[Sequence, object]],
     dimension: int,
@@ -370,6 +410,15 @@ def enumerate_cells(
 
     Cells are relatively open, pairwise disjoint, and partition R^d.  The
     hyperplane list must already be deduplicated and canonically scaled.
+
+    Cells are refined one plane at a time, children in sign order -1, 0, 1.
+    A partial cell is convex and relatively open, so one feasibility call
+    per (cell, plane) settles all three signs.  If its witness w has sign
+    s != 0, probe -s: when that fails, the cell misses the plane; when it
+    gives w', the segment from w to w' crosses the plane inside the cell.
+    If w lies on the plane, probe +1: when that fails the cell lies in the
+    plane; when it gives w', stepping from w away from w' stays in the cell
+    for a step bounded by the cell's own strict constraints.
     """
     planes = [
         (tuple(Fraction(x) for x in nrm), Fraction(off)) for nrm, off in hyperplanes
@@ -380,35 +429,53 @@ def enumerate_cells(
         raise HyperplaneBudgetError(
             f"{len(planes)} hyperplanes exceed the cap of {max_hyperplanes}"
         )
+    cap = max(dimension, DIMENSION_CAP)
+    rows = [_int_row(v, b) for v, b in planes]
+    # per plane, the constraint for sign -1, 0, +1 (indexed by sign + 1)
+    sign_cons = [
+        ((a, b, "<"), (a, b, "="), (tuple(-x for x in a), -b, "<")) for a, b in rows
+    ]
+
+    def linear(k: int, x: Vec) -> Fraction:
+        return sum(c * t for c, t in zip(rows[k][0], x))
+
+    def value(k: int, x: Vec) -> Fraction:
+        return linear(k, x) - rows[k][1]
+
     origin = tuple(Fraction(0) for _ in range(dimension))
     partial: list[tuple[tuple[int, ...], Vec]] = [((), origin)]
-    for k, (v, b) in enumerate(planes):
+    for k in range(len(planes)):
         grown: list[tuple[tuple[int, ...], Vec]] = []
         for signs, w in partial:
-            sw = _point_sign((v, b), w)
-            for s in (-1, 0, 1):
-                if s == sw:
-                    grown.append((signs + (s,), w))
-                    continue
-                cons = []
-                for kk in range(k):
-                    vv, bb = planes[kk]
-                    cons.append(_sign_constraint(vv, bb, signs[kk]))
-                cons.append(_sign_constraint(v, b, s))
-                wit = feasible(cons, dimension, dimension_cap=max(dimension, DIMENSION_CAP))
-                if wit is not None:
-                    grown.append((signs + (s,), wit))
+            fw = value(k, w)
+            s = (fw > 0) - (fw < 0)
+            cons = [sign_cons[kk][sg + 1] for kk, sg in enumerate(signs)]
+            cons.append(sign_cons[k][1 - s if s else 2])
+            probe = feasible(cons, dimension, dimension_cap=cap)
+            if probe is None:
+                grown.append((signs + (s,), w))
+            elif s:
+                t = fw / (fw - value(k, probe))
+                cross = tuple(x + t * (y - x) for x, y in zip(w, probe))
+                lo, hi = (w, probe) if s < 0 else (probe, w)
+                grown.append((signs + (-1,), lo))
+                grown.append((signs + (0,), cross))
+                grown.append((signs + (1,), hi))
+            else:
+                step = tuple(y - x for x, y in zip(w, probe))
+                t = Fraction(1)
+                for kk, sg in enumerate(signs):
+                    if sg:
+                        g, h = value(kk, w), linear(kk, step)
+                        if g * h > 0:
+                            t = min(t, g / (2 * h))
+                back = tuple(x - t * y for x, y in zip(w, step))
+                grown.append((signs + (-1,), back))
+                grown.append((signs + (0,), w))
+                grown.append((signs + (1,), probe))
         partial = grown
     cells = tuple(Cell(s, w) for s, w in partial)
     return CellComplex(dimension, tuple(planes), cells)
-
-
-def _sign_constraint(v: Vec, b: Fraction, s: int):
-    if s == 0:
-        return (v, b, "=")
-    if s < 0:
-        return (v, b, "<")
-    return (tuple(-x for x in v), -b, "<")
 
 
 def is_face(c: tuple[int, ...], t: tuple[int, ...]) -> bool:
@@ -812,6 +879,72 @@ def derive_box(cover: PolyhedralCover) -> tuple[Vec, Vec]:
     return lo, hi
 
 
+SAMPLE_BITS = 48
+
+
+def _integer_tests(region: ConvexRegion, scale: int):
+    """The region's constraints on integer points X standing for X / scale.
+
+    A half-space becomes (A, C, strict) meaning A . X < C (<= unless
+    strict); the ball becomes (K, P, R2, strict) meaning |K X - P|^2 < R2.
+    """
+    halfspaces = []
+    for h in region.halfspaces:
+        a, b = _int_row(h.normal, h.offset)
+        halfspaces.append((a, b * scale, h.strict))
+    ball = region.ball
+    if ball is None:
+        return tuple(halfspaces), None
+    k = lcm(ball.radius.denominator, *(c.denominator for c in ball.center))
+    centre = tuple(c.numerator * (k // c.denominator) * scale for c in ball.center)
+    r = ball.radius.numerator * (k // ball.radius.denominator) * scale
+    return tuple(halfspaces), (k, centre, r * r, ball.strict)
+
+
+def _passes(tests, x: list[int]) -> bool:
+    halfspaces, ball = tests
+    if ball is not None:
+        k, centre, r2, strict = ball
+        d2 = sum((k * xi - ci) ** 2 for xi, ci in zip(x, centre))
+        if not (d2 < r2 if strict else d2 <= r2):
+            return False
+    for a, c, strict in halfspaces:
+        v = sum(ai * xi for ai, xi in zip(a, x))
+        if not (v < c if strict else v <= c):
+            return False
+    return True
+
+
+def _sampled_words(cover: PolyhedralCover, lo: Vec, hi: Vec, budget: int, seed: int):
+    """Per sampled point, its codeword, or None when it lies outside the ambient.
+
+    Coordinate j of a point is lo_j + (hi_j - lo_j) * r / 2^48 for a fresh
+    r = getrandbits(48), held exactly as the integer X_j over Q * 2^48, Q
+    the common denominator of the box.
+    """
+    q = lcm(*(x.denominator for x in lo + hi))
+    scale = q << SAMPLE_BITS
+    base = [x.numerator * (q // x.denominator) for x in lo]
+    width = [x.numerator * (q // x.denominator) - b for x, b in zip(hi, base)]
+    base = [b << SAMPLE_BITS for b in base]
+    regions = [_integer_tests(r, scale) for r in cover.regions]
+    ambient = None
+    if isinstance(cover.ambient, ConvexRegion):
+        ambient = _integer_tests(cover.ambient, scale)
+    union = cover.ambient == AMBIENT_UNION
+    draw = random.Random(seed).getrandbits
+    for _ in range(budget):
+        x = [b + w * draw(SAMPLE_BITS) for b, w in zip(base, width)]
+        word = 0
+        for i, tests in enumerate(regions):
+            if _passes(tests, x):
+                word |= 1 << i
+        if (ambient is not None and not _passes(ambient, x)) or (union and word == 0):
+            yield None
+        else:
+            yield word
+
+
 def sample_code(
     cover: PolyhedralCover,
     budget: int,
@@ -821,7 +954,7 @@ def sample_code(
     """Uniform rational sampling in a box; observed codewords with counts.
 
     Deterministic for a fixed seed.  The estimate never invents codewords:
-    every sampled point is classified by exact arithmetic.
+    every sampled point is classified by exact integer arithmetic.
     """
     if box is None:
         lo, hi = derive_box(cover)
@@ -832,24 +965,10 @@ def sample_code(
         raise ValueError("box dimension mismatch")
     if any(l >= h for l, h in zip(lo, hi)):
         raise ValueError("zero-volume sampling box")
-    rng = random.Random(seed)
-    denom = 1 << 48
     counts: dict[int, int] = {}
-    ambient_region = cover.ambient if isinstance(cover.ambient, ConvexRegion) else None
-    for _ in range(budget):
-        x = tuple(
-            l + (h - l) * Fraction(rng.getrandbits(48), denom)
-            for l, h in zip(lo, hi)
-        )
-        word = 0
-        for i, r in enumerate(cover.regions):
-            if r.contains(x):
-                word |= 1 << i
-        if ambient_region is not None and not ambient_region.contains(x):
-            continue
-        if cover.ambient == AMBIENT_UNION and word == 0:
-            continue
-        counts[word] = counts.get(word, 0) + 1
+    for word in _sampled_words(cover, lo, hi, budget, seed):
+        if word is not None:
+            counts[word] = counts.get(word, 0) + 1
     return SampleReport(
         Code(cover.n, frozenset(counts)), counts, budget, seed, (lo, hi)
     )

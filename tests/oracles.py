@@ -5,6 +5,7 @@ subfamilies, grid scans) so the fast implementations have something honest
 to be checked against.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -94,4 +95,176 @@ def interval_cover_code(intervals, closed=False) -> set[int]:
             if inside:
                 w |= 1 << i
         out.add(w)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin over Fraction, and the three-sign cell enumeration built on
+# it: the reference the integer feasibility kernel and the one-probe
+# enumerator are checked against.
+#
+# A constraint is (coeffs, bound, strict) meaning coeffs . x < bound
+# (strict) or <= bound.  Equalities are split into two weak constraints.
+
+
+def _fm_normalize(con):
+    coeffs, bound, strict = con
+    lead = next((c for c in coeffs if c != 0), None)
+    if lead is None:
+        return con
+    scale = abs(lead)
+    return (tuple(c / scale for c in coeffs), bound / scale, strict)
+
+
+def _fm_prune(cons):
+    """Group parallel constraints, keep the binding one; detect 0 < c failures."""
+    best = {}
+    for coeffs, bound, strict in cons:
+        if not any(coeffs):
+            if bound < 0 or (strict and bound == 0):
+                return None
+            continue
+        cur = best.get(coeffs)
+        if cur is None or bound < cur[0] or (bound == cur[0] and strict and not cur[1]):
+            best[coeffs] = (bound, strict)
+    return [(c, b, s) for c, (b, s) in best.items()]
+
+
+def _fm_eliminate(cons, j):
+    """Project out variable j (1-based); input constraints use vars 1..j."""
+    zero, lows, ups = [], [], []
+    for con in cons:
+        aj = con[0][j - 1]
+        if aj == 0:
+            zero.append(con)
+        elif aj > 0:
+            ups.append(con)
+        else:
+            lows.append(con)
+    out = list(zero)
+    for la, lb, ls in lows:
+        p = -la[j - 1]
+        for ua, ub, us in ups:
+            q = ua[j - 1]
+            coeffs = tuple(q * x + p * y for x, y in zip(la, ua))
+            out.append((coeffs, q * lb + p * ub, ls or us))
+    return [_fm_normalize(c) for c in out]
+
+
+def fraction_feasible(constraints, dimension=None):
+    """Witness of a mixed '<', '<=', '=' system, or None; Fraction throughout."""
+    cons = []
+    d = dimension
+    for normal, offset, rel in constraints:
+        a = tuple(Fraction(x) for x in normal)
+        b = Fraction(offset)
+        if d is None:
+            d = len(a)
+        if rel == "<":
+            cons.append((a, b, True))
+        elif rel == "<=":
+            cons.append((a, b, False))
+        else:
+            cons.append((a, b, False))
+            cons.append((tuple(-x for x in a), -b, False))
+    if d is None:
+        return ()
+    per_var = [None] * (d + 1)
+    per_var[d] = _fm_prune([_fm_normalize(c) for c in cons])
+    if per_var[d] is None:
+        return None
+    for j in range(d, 0, -1):
+        nxt = _fm_prune(_fm_eliminate(per_var[j], j))
+        if nxt is None:
+            return None
+        per_var[j - 1] = nxt
+    witness = []
+    for j in range(1, d + 1):
+        lo = hi = None
+        for coeffs, bound, strict in per_var[j]:
+            aj = coeffs[j - 1]
+            if aj == 0:
+                continue
+            partial = sum((coeffs[k] * witness[k] for k in range(j - 1)), Fraction(0))
+            val = (bound - partial) / aj
+            if aj > 0:
+                if hi is None or val < hi[0] or (val == hi[0] and strict):
+                    hi = (val, strict)
+            elif lo is None or val > lo[0] or (val == lo[0] and strict):
+                lo = (val, strict)
+        if lo is None and hi is None:
+            witness.append(Fraction(0))
+        elif lo is None:
+            witness.append(hi[0] - 1)
+        elif hi is None:
+            witness.append(lo[0] + 1)
+        elif lo[0] < hi[0]:
+            witness.append((lo[0] + hi[0]) / 2)
+        else:
+            assert lo[0] == hi[0] and not lo[1] and not hi[1]
+            witness.append(lo[0])
+    return tuple(witness)
+
+
+def plane_sign(plane, x) -> int:
+    normal, offset = plane
+    v = sum((Fraction(a) * t for a, t in zip(normal, x)), Fraction(0)) - Fraction(offset)
+    return (v > 0) - (v < 0)
+
+
+def three_sign_cells(planes, dimension):
+    """Sign vectors of an arrangement, in the order of the plane-by-plane
+    refinement that tries signs -1, 0, 1 on every partial cell, each with a
+    witness from `fraction_feasible`."""
+    planes = list(planes)
+    partial = [((), tuple(Fraction(0) for _ in range(dimension)))]
+    for k, plane in enumerate(planes):
+        grown = []
+        for signs, w in partial:
+            sw = plane_sign(plane, w)
+            for s in (-1, 0, 1):
+                if s == sw:
+                    grown.append((signs + (s,), w))
+                    continue
+                cons = []
+                for (v, b), sk in zip(planes[:k] + [plane], signs + (s,)):
+                    if sk == 0:
+                        cons.append((v, b, "="))
+                    elif sk < 0:
+                        cons.append((v, b, "<"))
+                    else:
+                        cons.append((tuple(-Fraction(x) for x in v), -Fraction(b), "<"))
+                wit = fraction_feasible(cons, dimension)
+                if wit is not None:
+                    grown.append((signs + (s,), wit))
+        partial = grown
+    return partial
+
+
+def fraction_sample_words(cover, lo, hi, budget, seed):
+    """Per sampled point, its codeword or None outside the ambient, with the
+    points drawn as in `sample_code` and classified over Fraction."""
+    def inside(region, x):
+        for h in region.halfspaces:
+            v = sum((a * t for a, t in zip(h.normal, x)), Fraction(0))
+            if not (v < h.offset if h.strict else v <= h.offset):
+                return False
+        ball = region.ball
+        if ball is not None:
+            d2 = sum(((t - c) ** 2 for t, c in zip(x, ball.center)), Fraction(0))
+            r2 = ball.radius**2
+            if not (d2 < r2 if ball.strict else d2 <= r2):
+                return False
+        return True
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(budget):
+        x = [l + (h - l) * Fraction(rng.getrandbits(48), 1 << 48) for l, h in zip(lo, hi)]
+        word = sum(1 << i for i, r in enumerate(cover.regions) if inside(r, x))
+        if isinstance(cover.ambient, str):
+            keep = cover.ambient == "whole" or word != 0
+        else:
+            keep = inside(cover.ambient, x)
+        out.append(word if keep else None)
     return out

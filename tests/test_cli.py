@@ -134,6 +134,39 @@ def test_cover_code_ball_needs_sampling(tmp_path, capsys):
     assert "sampled code estimate" in out
 
 
+def test_cover_code_over_hyperplane_cap_exit_3(tmp_path, capsys, monkeypatch):
+    import convexcodes.geometry as geometry
+
+    # two regions of 8 distinct half-planes each: 16 planes, cap 14
+    text = "d=2 n=2 ambient=whole\n" + "".join(
+        "SET\n" + "".join(f"H 1 {s * (8 * r + j)} : {j + 1} lt\n" for j in range(8))
+        for r, s in ((0, 1), (1, -1))
+    )
+    path = tmp_path / "wide.cover"
+    path.write_text(text)
+
+    def no_feasibility(*args, **kwargs):
+        raise AssertionError("the cover must be refused before any enumeration")
+
+    monkeypatch.setattr(geometry, "feasible", no_feasibility)
+    assert main(["cover-code", str(path), "--nondegen", "--invariance"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == ["over budget: 16 hyperplanes exceed the cap of 14"]
+
+
+def test_cover_code_over_dimension_cap_exit_3(tmp_path, capsys):
+    path = tmp_path / "tall.cover"
+    path.write_text("d=9 n=1 ambient=whole\nSET\nH 1 0 0 0 0 0 0 0 0 : 1 lt\n")
+    assert main(["cover-code", str(path), "--nondegen"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("code: 0 1\n")
+    assert captured.err.strip().splitlines() == [
+        "cannot check non-degeneracy: dimension 9 exceeds cap 8"
+    ]
+
+
 def test_cover_code_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.cover"
     path.write_text("d=1 n=1 ambient=whole\nH 1/1 : 1/1 le\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +32,24 @@ from convexcodes import (
     transform_cover,
     verify_closure_interior_invariance,
 )
-from convexcodes.geometry import CLOSURE, INTERIOR, TransformError, MixedRelationsError
-from oracles import grid_sign_vectors, interval_cover_code
+from convexcodes.geometry import (
+    CLOSURE,
+    INTERIOR,
+    MixedRelationsError,
+    TransformError,
+    _integer_tests,
+    _passes,
+    _sampled_words,
+    canonical_hyperplane,
+)
+from oracles import (
+    fraction_feasible,
+    fraction_sample_words,
+    grid_sign_vectors,
+    interval_cover_code,
+    plane_sign,
+    three_sign_cells,
+)
 
 
 def interval_cover(*bounds, closed=False, ambient=AMBIENT_WHOLE):
@@ -72,35 +89,40 @@ def test_unbounded_dimensions_rejected():
         feasible([(tuple([1] * 9), 0, "<")])
 
 
+rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 7))
+
+
 @st.composite
-def linear_systems(draw):
-    d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 6))
+def mixed_systems(draw):
+    """Systems with every relation, unlike denominators, zero rows, and rows
+    parallel (or antiparallel) to earlier ones."""
+    d = draw(st.integers(1, 4))
     cons = []
-    for _ in range(m):
-        normal = tuple(F(draw(st.integers(-3, 3))) for _ in range(d))
-        if not any(normal):
-            normal = tuple(F(1) if j == 0 else F(0) for j in range(d))
-        offset = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-        rel = draw(st.sampled_from(["<", "<=", "="]))
-        cons.append((normal, offset, rel))
-    return cons
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "parallel"]))
+        if kind == "zero":
+            normal = tuple(F(0) for _ in range(d))
+        elif kind == "parallel" and cons:
+            scale = draw(rationals.filter(bool))
+            normal = tuple(scale * x for x in draw(st.sampled_from(cons))[0])
+        else:
+            normal = tuple(draw(rationals) for _ in range(d))
+        cons.append((normal, draw(rationals), draw(st.sampled_from(["<", "<=", "="]))))
+    return d, cons
 
 
-@settings(max_examples=150, deadline=None)
-@given(linear_systems())
-def test_feasible_witness_exact(cons):
-    w = feasible(cons)
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_feasible_witness_exact(system):
+    # same verdict and witness as the Fraction oracle; the witness is exact
+    d, cons = system
+    w = feasible(cons, d)
+    assert w == fraction_feasible(cons, d)
     if w is None:
         return
     for normal, offset, rel in cons:
-        v = sum(a * x for a, x in zip(normal, w))
-        if rel == "<":
-            assert v < offset
-        elif rel == "<=":
-            assert v <= offset
-        else:
-            assert v == offset
+        v = sum((a * x for a, x in zip(normal, w)), F(0))
+        assert {"<": v < offset, "<=": v <= offset, "=": v == offset}[rel]
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +170,38 @@ def test_partition_of_random_points():
             val = sum(a * t for a, t in zip(v, x)) - b
             signs.append((val > 0) - (val < 0))
         assert tuple(signs) in table
+
+
+@st.composite
+def arrangements(draw):
+    """Integer arrangements in d = 2, 3 with concurrent planes through the
+    origin and parallel planes, canonically scaled and deduplicated."""
+    d = draw(st.sampled_from([2, 3]))
+    coeff = st.integers(-3, 3)
+    planes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["general", "origin", "parallel"]))
+        if kind == "parallel" and planes:
+            normal = draw(st.sampled_from(planes))[0]
+        else:
+            normal = tuple(F(draw(coeff)) for _ in range(d))
+        if not any(normal):
+            continue
+        offset = F(0) if kind == "origin" else F(draw(coeff), draw(st.integers(1, 2)))
+        plane, _ = canonical_hyperplane(normal, offset)
+        if plane not in planes:
+            planes.append(plane)
+    return d, planes
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements())
+def test_one_probe_enumeration_matches_three_sign_oracle(arrangement):
+    d, planes = arrangement
+    cells = enumerate_cells(planes, d)
+    assert [c.signs for c in cells.cells] == [s for s, _ in three_sign_cells(planes, d)]
+    for cell in cells.cells:
+        assert tuple(plane_sign(p, cell.witness) for p in planes) == cell.signs
 
 
 def test_duplicate_hyperplanes_rejected():
@@ -341,6 +395,55 @@ def test_sample_two_intervals_frozen():
     # frozen counts pin the generator and the exact membership path
     labeled = {w: rep.counts[w] for w in rep.code.sorted_words()}
     assert labeled == {0: 40041, 0b01: 19912, 0b10: 19966, 0b11: 20081}
+
+
+def _mixed_ball_cover():
+    """Strict and weak half-spaces and balls with rational data, inside an
+    explicit ambient region."""
+
+    def hs(a, b, c, strict):
+        return HalfSpace((F(a), F(b)), F(c), strict)
+
+    regions = (
+        ConvexRegion(2, (hs(1, F(1, 2), F(2, 3), False),), Ball((F(1, 3), F(-1, 4)), F(7, 5), True)),
+        ConvexRegion(2, (hs(-1, 0, F(1, 2), True), hs(0, 1, F(3, 7), False))),
+        ConvexRegion(2, (), Ball((F(-2, 3), F(1, 5)), F(5, 4), False)),
+    )
+    ambient = ConvexRegion(2, (hs(F(3, 2), -1, F(5, 2), True),), Ball((F(0), F(1, 9)), F(13, 6), False))
+    return PolyhedralCover(2, regions, ambient)
+
+
+def test_integer_classifier_exact_on_boundaries():
+    cover = _mixed_ball_cover()
+    on_boundary = [
+        (F(1, 3) - F(7, 5), F(-1, 4)),  # sphere of region 1 (strict)
+        (F(1, 3) - F(21, 25), F(-1, 4) - F(28, 25)),
+        (F(2, 3), F(0)),  # half-plane of region 1 (weak)
+        (F(-1, 2), F(0)),  # region 2, strict side
+        (F(0), F(3, 7)),  # region 2, weak side
+        (F(-2, 3) - F(5, 4), F(1, 5)),  # sphere of region 3 (weak)
+        (F(1), F(-1)),  # ambient half-plane (strict)
+    ]
+    eps = F(1, 10**9)
+    points = [(x + dx, y + dy) for x, y in on_boundary for dx in (-eps, 0, eps) for dy in (-eps, 0, eps)]
+    scale = lcm(*(t.denominator for p in points for t in p))
+    for region in cover.regions + (cover.ambient,):
+        tests = _integer_tests(region, scale)
+        for p in points:
+            x = [int(t * scale) for t in p]
+            assert _passes(tests, x) == region.contains(p), (region, p)
+
+
+def test_integer_sampling_matches_fraction_classifier():
+    cover = _mixed_ball_cover()
+    assert cover.ambient_label() == "region"
+    lo, hi = (F(-7, 3), F(-5, 4)), (F(9, 5), F(11, 6))
+    words = list(_sampled_words(cover, lo, hi, 3000, 13))
+    assert words == fraction_sample_words(cover, lo, hi, 3000, 13)
+    assert len({w for w in words if w is not None}) >= 4
+    assert words.count(None) > 0
+    rep = sample_code(cover, budget=3000, seed=13, box=(lo, hi))
+    assert rep.counts == {w: words.count(w) for w in set(words) - {None}}
 
 
 def test_sample_subset_of_exact_code():
