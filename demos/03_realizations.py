@@ -34,7 +34,7 @@ realz, cert = max_int_realization(Code.from_compact(4, "123 134"), AMBIENT_WHOLE
 print("maximal words 123, 134 -> chamber cover in dimension", cert.dimension)
 print("achieved over the whole space:", " ".join(cert.achieved.labels()))
 for check in cert.checks:
-    print(f"  check {check.name}: {'pass' if check.passed else 'FAIL'} ({check.detail})")
+    print(f"  check {check.name}: {check.status} ({check.detail})")
 print()
 
 # Adding non-maximal words: one fresh point per word, code grows exactly.

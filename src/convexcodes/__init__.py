@@ -1,5 +1,7 @@
 """Convexity analysis and verified convex realizations of neural codes."""
 
+from types import ModuleType as _ModuleType
+
 from .codes import (
     AbstractCover,
     Code,
@@ -84,5 +86,10 @@ from .topology import (
     survey_nonlocal_vs_local,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above, without the submodules they come from
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .realization import (
     NotApplicable,
     MonotoneExtendError,
     RealizationCertificate,
-    max_int_realization,
     potential_cover,
     realize,
     replay_certificate,
@@ -65,10 +64,11 @@ def _profile_json(profile) -> dict:
     return {"minus_one": profile.minus_one, "reduced": list(profile.reduced)}
 
 
-def _profile_text(profile) -> str:
-    if profile.minus_one:
-        return "(-1:1)"
-    return "(" + ",".join(str(b) for b in profile.reduced) + ")"
+def _profile_text(profile: dict) -> str:
+    """Render a profile from its JSON form, as `_profile_json` writes it."""
+    if profile["minus_one"]:
+        return f"(-1:{profile['minus_one']})"
+    return "(" + ",".join(map(str, profile["reduced"])) + ")"
 
 
 def analysis_report(code: Code, nonlocal_budget: int) -> dict:
@@ -140,11 +140,10 @@ def render_analysis(report: dict) -> str:
         "undecided-violators: " + (" ".join(report["undecided_violators"]) or "-")
     )
     for o in report["nonlocal_obstructions"]:
-        p1 = f"(-1:{o['profile1']['minus_one']})" if o["profile1"]["minus_one"] else "(" + ",".join(map(str, o["profile1"]["reduced"])) + ")"
-        p2 = f"(-1:{o['profile2']['minus_one']})" if o["profile2"]["minus_one"] else "(" + ",".join(map(str, o["profile2"]["reduced"])) + ")"
         lines.append(
             f"nonlocal-obstruction: sigma1={o['sigma1']} sigma2={o['sigma2']} "
-            f"profile1={p1} profile2={p2}"
+            f"profile1={_profile_text(o['profile1'])} "
+            f"profile2={_profile_text(o['profile2'])}"
         )
     lines.append(f"intersection-complete: {str(report['intersection_complete']).lower()}")
     lines.append(
@@ -186,24 +185,25 @@ def _certificate_text(cert: RealizationCertificate) -> str:
         f"valid: {str(cert.valid).lower()}",
     ]
     for c in cert.checks:
-        lines.append(f"check {c.name}: {'pass' if c.passed else 'FAIL'} {c.detail}".rstrip())
+        lines.append(f"check {c.name}: {c.status} {c.detail}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def _abstract_cover_text(cover) -> str:
-    names = {p: f"p{i}" for i, p in enumerate(cover.points)}
-    lines = [f"n={cover.n}", "points: " + " ".join(names[p] for p in cover.points)]
-    if cover.ambient is None:
-        lines.append("ambient: all")
-    else:
-        lines.append(
-            "ambient: " + " ".join(names[p] for p in cover.points if p in cover.ambient)
-        )
+    """Points are named p0, p1, ... in order; every set lists them in that order."""
+    listed = frozenset().union(cover.ambient or (), *cover.membership.values())
+    index = {p: i for i, p in enumerate(cover.points) if p in listed}
+
+    def names(points) -> str:
+        return " ".join(f"p{i}" for i in sorted(index[p] for p in points))
+
+    lines = [
+        f"n={cover.n}",
+        "points: " + " ".join(f"p{i}" for i in range(len(cover.points))),
+        "ambient: " + ("all" if cover.ambient is None else names(cover.ambient)),
+    ]
     for i in range(1, cover.n + 1):
-        members = cover.membership.get(i, frozenset())
-        lines.append(
-            f"{i}: " + " ".join(names[p] for p in cover.points if p in members)
-        )
+        lines.append(f"{i}: " + names(cover.membership.get(i, ())))
     return "\n".join(lines) + "\n"
 
 
@@ -215,8 +215,9 @@ def _potential_text(realz, n: int) -> str:
         verts = realz.vertex_sets.get(i, ())
         lines.append(f"set {i}: " + " ".join(f"e{p}" for p in verts))
     for w in sorted(realz.witnesses, key=word_key):
+        # a witness is barycentric: most of its coordinates are zero
         coords = " ".join(
-            f"{c.numerator}/{c.denominator}" for c in realz.witnesses[w]
+            f"{c.numerator}/{c.denominator}" if c else "0/1" for c in realz.witnesses[w]
         )
         lines.append(f"witness {word_label(w, n)}: {coords}")
     return "\n".join(lines) + "\n"
@@ -229,7 +230,6 @@ def cmd_realize(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    geometric_cover = None
     potential_realz = None
     if args.method == "potential":
         potential_realz, cert = potential_cover(code)
@@ -243,23 +243,22 @@ def cmd_realize(args) -> int:
             print(f"not applicable: {result.describe(code.n)}")
             return EXIT_VERDICT
         cert = result
-        realz, _ = max_int_realization(code, cert.ambient)
-        geometric_cover = realz.geometric
 
     ok = cert.valid and (cert.cover is None or replay_certificate(cert))
+    certificate = _certificate_text(cert)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "certificate.txt").write_text(_certificate_text(cert))
+        (out / "certificate.txt").write_text(certificate)
         if cert.cover is not None:
             (out / "abstract_cover.txt").write_text(_abstract_cover_text(cert.cover))
-        if geometric_cover is not None:
-            (out / "cover.txt").write_text(cover_to_text(geometric_cover))
+        if cert.geometric is not None:
+            (out / "cover.txt").write_text(cover_to_text(cert.geometric))
         if potential_realz is not None:
             (out / "potential_cover.txt").write_text(
                 _potential_text(potential_realz, code.n)
             )
-    print(_certificate_text(cert), end="")
+    print(certificate, end="")
     return EXIT_OK if ok else EXIT_VERDICT
 
 

@@ -200,24 +200,22 @@ class AbstractCover:
     def member_sets(self) -> list[frozenset]:
         return [self.membership.get(i, frozenset()) for i in range(1, self.n + 1)]
 
-    def point_word(self, p: Hashable) -> int:
-        w = 0
-        for i in range(1, self.n + 1):
-            if p in self.membership.get(i, ()):
-                w |= 1 << (i - 1)
-        return w
-
 
 # ---------------------------------------------------------------------------
 # operations
 
 
 def maximal_codewords(code: Code) -> frozenset[int]:
-    """The inclusion-maximal codewords of a code."""
-    ws = code.words
-    return frozenset(
-        w for w in ws if not any(w != v and w & v == w for v in ws)
-    )
+    """The inclusion-maximal codewords of a code.
+
+    Words are scanned by descending size, so a word is non-maximal iff it
+    lies inside one of the maxima already found.
+    """
+    maxima: list[int] = []
+    for w in sorted(code.words, key=int.bit_count, reverse=True):
+        if not any(w & m == w for m in maxima):
+            maxima.append(w)
+    return frozenset(maxima)
 
 
 def simplicial_complex(code: Code) -> SimplicialComplex:
@@ -254,21 +252,16 @@ def covers(sigma: int, code: Code) -> bool:
 
 
 def intersection_completion(code: Code) -> Code:
-    """All intersections of non-empty subcodes, computed as a pairwise fixpoint.
+    """All intersections of non-empty subcodes.
 
+    Built one word at a time: the completion of the words seen so far plus w
+    is the old completion, w itself and w meeting each old intersection.
     The empty word enters whenever some intersection comes out empty.
     """
-    words = set(code.words)
-    frontier = list(words)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(words):
-                c = a & b
-                if c not in words:
-                    words.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    words: set[int] = set()
+    for w in code.words:
+        words |= {w & c for c in words}
+        words.add(w)
     return Code(code.n, frozenset(words))
 
 
@@ -290,13 +283,21 @@ def classify_completeness(code: Code) -> CompletenessReport:
 
 
 def abstract_code(cover: AbstractCover) -> Code:
-    """The code of a finite cover: one codeword per ambient point."""
-    pts: Iterable[Hashable]
-    if cover.ambient is None:
-        pts = cover.points
-    else:
-        pts = (p for p in cover.points if p in cover.ambient)
-    return Code(cover.n, frozenset(cover.point_word(p) for p in pts))
+    """The code of a finite cover: one codeword per ambient point.
+
+    Neuron bits are scattered from the membership sets, which lie inside
+    the ambient; any ambient point they miss carries the empty word.
+    """
+    word_of: dict[Hashable, int] = {}
+    for i, members in cover.membership.items():
+        bit = 1 << (i - 1)
+        for p in members:
+            word_of[p] = word_of.get(p, 0) | bit
+    words = set(word_of.values())
+    ambient_size = len(cover.points if cover.ambient is None else cover.ambient)
+    if ambient_size > len(word_of):
+        words.add(0)
+    return Code(cover.n, frozenset(words))
 
 
 def finite_realization(code: Code) -> AbstractCover:

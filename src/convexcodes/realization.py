@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from .codes import (
     AbstractCover,
     Code,
+    _submasks,
     abstract_code,
     intersection_completion,
-    classify_completeness,
     maximal_codewords,
     simplicial_complex,
     word_key,
@@ -50,6 +51,13 @@ class CheckRecord:
     name: str
     passed: bool
     detail: str = ""
+    skipped: bool = False  # not run; neither passed nor failed
+
+    @property
+    def status(self) -> str:
+        if self.skipped:
+            return "skipped"
+        return "pass" if self.passed else "FAIL"
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +69,13 @@ class RealizationCertificate:
     ambient: str
     checks: tuple[CheckRecord, ...]
     cover: AbstractCover | None = None  # replayable abstract realization
+    geometric: PolyhedralCover | None = None  # half-space cover of a chamber realization
 
     @property
     def valid(self) -> bool:
+        """The achieved code is the target and no check that ran failed."""
         return self.achieved.words == self.target.words and all(
-            c.passed for c in self.checks
+            c.passed or c.skipped for c in self.checks
         )
 
 
@@ -163,28 +173,29 @@ def max_int_realization(
         for i in range(1, code.n + 1)
     }
     points = tuple(range(1, 1 << k))  # non-empty subsets of [k] as masks
+    # neuron i owns the chambers inside rho(i): its non-empty submasks
     membership = {
-        i: frozenset(p for p in points if p and p & rho[i] == p)
-        for i in range(1, code.n + 1)
+        i: frozenset(p for p in _submasks(rho[i]) if p) for i in range(1, code.n + 1)
     }
     abstract = AbstractCover(code.n, points, membership, None)
     achieved_whole = abstract_code(abstract)
     achieved_union = Code(code.n, achieved_whole.words - {0})
 
     planes = _simplex_planes(k)
-    regions = []
-    for i in range(1, code.n + 1):
-        hs = []
-        for a in range(1, k + 1):
-            if rho[i] & (1 << (a - 1)):
-                continue
-            v, b = planes[a - 1]
-            if _vertex_side(a, k) > 0:
-                hs.append(HalfSpace(v, b, True))  # strictly below the vertex side
-            else:
-                hs.append(HalfSpace(tuple(-c for c in v), -b, True))
-        regions.append(ConvexRegion(d, tuple(hs)))
-    geometric = PolyhedralCover(d, tuple(regions), ambient)
+    # the open side of plane a away from vertex a, shared by every set that omits a
+    away = []
+    for a, (v, b) in enumerate(planes, start=1):
+        if _vertex_side(a, k) > 0:
+            away.append(HalfSpace(v, b, True))  # strictly below the vertex side
+        else:
+            away.append(HalfSpace(tuple(-c for c in v), -b, True))
+    regions = tuple(
+        ConvexRegion(
+            d, tuple(h for a, h in enumerate(away) if not rho[i] & (1 << a))
+        )
+        for i in range(1, code.n + 1)
+    )
+    geometric = PolyhedralCover(d, regions, ambient)
 
     completion = intersection_completion(Code(code.n, frozenset(maxima)))
     if ambient == AMBIENT_WHOLE:
@@ -196,7 +207,7 @@ def max_int_realization(
     else:
         target_words = completion.words - {0}
         achieved = achieved_union
-        covered = frozenset(p for p in points if abstract.point_word(p))
+        covered = frozenset().union(*membership.values())
         cert_cover = AbstractCover(code.n, points, membership, covered)
     target = Code(code.n, frozenset(target_words))
 
@@ -208,13 +219,16 @@ def max_int_realization(
         )
     ]
     if k <= geometric_check_cap:
-        checks.extend(_geometric_checks(geometric, abstract, planes, words, k, ambient))
+        checks.extend(
+            _geometric_checks(geometric, achieved_whole, planes, words, k, ambient)
+        )
     else:
         checks.append(
             CheckRecord(
                 "geometric-agreement",
-                True,
-                f"skipped: k={k} above cap {geometric_check_cap}",
+                False,
+                f"k={k} above cap {geometric_check_cap}",
+                skipped=True,
             )
         )
 
@@ -226,6 +240,7 @@ def max_int_realization(
         ambient=ambient,
         checks=tuple(checks),
         cover=cert_cover,
+        geometric=geometric,
     )
     realization = ChamberRealization(
         k=k,
@@ -240,11 +255,11 @@ def max_int_realization(
     return realization, cert
 
 
-def _geometric_checks(geometric, abstract, planes, words, k, ambient):
+def _geometric_checks(geometric, achieved_whole, planes, words, k, ambient):
     """Cross-check the half-space cover against the abstract chamber cover."""
     checks = []
     geo_code, _ = code_of_cover(geometric)
-    expected = abstract_code(abstract).words
+    expected = achieved_whole.words
     if ambient == AMBIENT_UNION:
         expected = expected - {0}
     checks.append(
@@ -612,20 +627,12 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
             point[basis_index[w]] = Fraction(1, kf)
         witnesses[sigma] = tuple(point)
 
-    checks = []
-    sound = True
-    for sigma, point in witnesses.items():
-        support = {j for j, c in enumerate(point) if c > 0}
-        total = sum(point, Fraction(0))
-        member_mask = 0
-        for i in range(1, code.n + 1):
-            if support and support <= set(vertex_sets[i]):
-                member_mask |= 1 << (i - 1)
-        if total != 1 or member_mask != sigma:
-            sound = False
-    checks.append(
-        CheckRecord("witness-membership", sound, f"{len(witnesses)} witnesses")
+    vertex_sets_of = {i: set(v) for i, v in vertex_sets.items()}
+    sound = all(
+        _potential_word(point, vertex_sets_of) == sigma
+        for sigma, point in witnesses.items()
     )
+    checks = [CheckRecord("witness-membership", sound, f"{len(witnesses)} witnesses")]
 
     achieved = Code(code.n, frozenset(achieved_words))
     target = intersection_completion(Code(code.n, frozenset(nonempty))) if nonempty else Code(code.n, frozenset())
@@ -649,6 +656,22 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
     return realization, cert
 
 
+def _potential_word(point: Vec, vertex_sets: Mapping[int, set[int]]) -> int | None:
+    """The word of a point of the potential cover's simplex, by its support.
+
+    None when the point is not a convex combination of the basis vectors:
+    a negative coordinate, or coordinates not summing to 1.
+    """
+    nonzero = {j: c for j, c in enumerate(point) if c}
+    if any(c < 0 for c in nonzero.values()) or sum(nonzero.values(), Fraction(0)) != 1:
+        return None
+    word = 0
+    for i, vertices in vertex_sets.items():
+        if nonzero.keys() <= vertices:
+            word |= 1 << (i - 1)
+    return word
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
@@ -666,22 +689,22 @@ def realize(
     mode defaults to whole space when the empty word is present and to the
     union of the sets otherwise.
     """
-    report = classify_completeness(code)
-    if not report.max_intersection_complete:
-        return _missing_intersection(code)
+    maxima = sorted(maximal_codewords(code), key=word_key)
+    completion = intersection_completion(Code(code.n, frozenset(maxima)))
+    if not completion.words <= code.words:
+        return _missing_intersection(code, maxima, completion)
     if ambient is None:
         ambient = AMBIENT_WHOLE if 0 in code.words else AMBIENT_UNION
     realz, cert = max_int_realization(
         code, ambient, geometric_check_cap=geometric_check_cap
     )
-    base_cover = cert.cover
     base_code = cert.achieved
-    method = "chamber"
-    cover = base_cover
-    if base_code.words != code.words:
-        cover = monotone_extend(base_cover, code)
+    if base_code.words == code.words:
+        method, cover, achieved = "chamber", cert.cover, base_code
+    else:
         method = "chamber+monotone"
-    achieved = abstract_code(cover)
+        cover = monotone_extend(cert.cover, code)
+        achieved = abstract_code(cover)
     checks = list(cert.checks)
     checks.append(
         CheckRecord(
@@ -698,24 +721,19 @@ def realize(
         ambient=ambient,
         checks=tuple(checks),
         cover=cover,
+        geometric=cert.geometric,
     )
 
 
-def _missing_intersection(code: Code) -> NotApplicable:
-    maxima = sorted(maximal_codewords(code), key=word_key)
-    completion = intersection_completion(Code(code.n, frozenset(maxima)))
+def _missing_intersection(
+    code: Code, maxima: list[int], completion: Code
+) -> NotApplicable:
     missing = sorted(completion.words - code.words, key=word_key)[0]
     for size in range(2, len(maxima) + 1):
-        for combo in _combos(maxima, size):
+        for combo in combinations(maxima, size):
             inter = combo[0]
             for w in combo[1:]:
                 inter &= w
             if inter == missing:
                 return NotApplicable(missing, tuple(combo))
     raise AssertionError("missing word must arise as an intersection")
-
-
-def _combos(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)

@@ -268,3 +268,64 @@ def fraction_sample_words(cover, lo, hi, budget, seed):
             keep = inside(cover.ambient, x)
         out.append(word if keep else None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The first, quadratic word algebra and the per-point readers of abstract
+# covers: the references the output-sensitive versions are checked against.
+
+
+def pairwise_maximal_codewords(words) -> frozenset[int]:
+    """Words contained in no other word, by comparing every pair."""
+    return frozenset(w for w in words if not any(w != v and w & v == w for v in words))
+
+
+def fixpoint_completion(words) -> set[int]:
+    """Close a set of words under pairwise intersection until nothing is new."""
+    out = set(words)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(out):
+                c = a & b
+                if c not in out:
+                    out.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return out
+
+
+def pointwise_abstract_words(cover) -> set[int]:
+    """The word of every ambient point, read off by asking each neuron."""
+    out = set()
+    for p in cover.points:
+        if cover.ambient is not None and p not in cover.ambient:
+            continue
+        w = 0
+        for i in range(1, cover.n + 1):
+            if p in cover.membership.get(i, ()):
+                w |= 1 << (i - 1)
+        out.add(w)
+    return out
+
+
+def scan_abstract_cover_text(cover) -> str:
+    """The abstract_cover.txt bundle, written by scanning all points per set."""
+    names = {p: f"p{i}" for i, p in enumerate(cover.points)}
+    lines = [f"n={cover.n}", "points: " + " ".join(names[p] for p in cover.points)]
+    if cover.ambient is None:
+        lines.append("ambient: all")
+    else:
+        lines.append(
+            "ambient: " + " ".join(names[p] for p in cover.points if p in cover.ambient)
+        )
+    for i in range(1, cover.n + 1):
+        members = cover.membership.get(i, frozenset())
+        lines.append(f"{i}: " + " ".join(names[p] for p in cover.points if p in members))
+    return "\n".join(lines) + "\n"
+
+
+def chamber_membership_by_filter(rho: int, k: int) -> frozenset[int]:
+    """The non-empty subsets of [k] inside rho, found by testing every subset."""
+    return frozenset(p for p in range(1, 1 << k) if p & rho == p)

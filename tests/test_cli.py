@@ -201,3 +201,42 @@ def test_exit_codes_are_stable(tmp_path, capsys):
     path = write_code(tmp_path, "c.code", 4, "23 14 123")
     assert main(["analyze", path]) == 0
     capsys.readouterr()
+
+
+def test_realize_builds_one_chamber_cover(tmp_path, capsys, monkeypatch):
+    import convexcodes.realization as realization
+
+    calls = {"max_int_realization": 0, "abstract_code": 0}
+
+    def counted(name):
+        original = getattr(realization, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(realization, name, counted(name))
+    # the completion of its maximal words: no monotone extension, and k = 3
+    # stays within the geometric check's cap
+    path = write_code(tmp_path, "c.code", 4, "123 134 13")
+    out_dir = tmp_path / "bundle"
+    assert main(["realize", path, "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "method: chamber\n" in out and "check cell-for-codeword: pass" in out
+    assert (out_dir / "cover.txt").exists()
+    assert calls["max_int_realization"] == 1
+    assert calls["abstract_code"] <= 2  # the chamber code and the replay
+
+
+def test_realize_reports_skipped_geometric_check(tmp_path, capsys):
+    # five disjoint pairs: k = 5 maximal words, above the cap of 4
+    path = tmp_path / "pairs.code"
+    path.write_text("n=10\n0\n1 2\n3 4\n5 6\n7 8\n9 10\n")
+    assert main(["realize", str(path), "--out", str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert "check geometric-agreement: skipped k=5 above cap 4\n" in out
+    assert "valid: true\n" in out
+    assert (tmp_path / "b" / "certificate.txt").read_text() == out

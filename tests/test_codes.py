@@ -20,7 +20,17 @@ from convexcodes import (
     word_mask,
     word_neurons,
 )
-from oracles import brute_completion, brute_delta_faces, brute_link, brute_violators
+from convexcodes.cli import _abstract_cover_text
+from oracles import (
+    brute_completion,
+    brute_delta_faces,
+    brute_link,
+    brute_violators,
+    fixpoint_completion,
+    pairwise_maximal_codewords,
+    pointwise_abstract_words,
+    scan_abstract_cover_text,
+)
 
 
 def compact(n, text):
@@ -45,6 +55,25 @@ def codes(draw, max_n=6, min_words=1, max_words=10, allow_empty_word=True):
     if not ws:
         ws = {draw(st.integers(1, (1 << n) - 1))}
     return Code(n, frozenset(ws))
+
+
+@st.composite
+def abstract_covers(draw, max_n=8, max_points=12):
+    """Covers of mixed int and str point labels, with or without an ambient subset."""
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(0, max_points))
+    labels = draw(st.permutations([*range(count), *(f"q{j}" for j in range(count))]))
+    points = tuple(labels[:count])
+    membership = {
+        i: frozenset(draw(st.sets(st.sampled_from(points), max_size=count)) if points else ())
+        for i in draw(st.sets(st.integers(1, n)))
+    }
+    ambient = None
+    if draw(st.booleans()):
+        covered = frozenset().union(*membership.values())
+        extra = draw(st.sets(st.sampled_from(points))) if points else set()
+        ambient = covered | frozenset(extra)
+    return AbstractCover(n, points, membership, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +269,25 @@ def test_completion_against_oracle(c):
     assert intersection_completion(c).words == brute_completion(c.words)
 
 
+@settings(max_examples=200, deadline=None)
+@given(codes(max_n=8, max_words=40))
+def test_word_algebra_matches_pairwise_references(c):
+    assert maximal_codewords(c) == pairwise_maximal_codewords(c.words)
+    assert intersection_completion(c).words == fixpoint_completion(c.words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(abstract_covers())
+def test_abstract_code_matches_per_point_reference(cover):
+    assert abstract_code(cover).words == pointwise_abstract_words(cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(abstract_covers())
+def test_abstract_cover_text_matches_scan(cover):
+    assert _abstract_cover_text(cover) == scan_abstract_cover_text(cover)
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -271,3 +319,19 @@ def test_code_text_parsing():
 @given(codes(max_n=12, max_words=12))
 def test_code_text_roundtrip_random(c):
     assert code_from_text(code_to_text(c)).words == c.words
+
+
+def test_package_exports_names_not_submodules():
+    import types
+
+    import convexcodes
+
+    assert "realize" in convexcodes.__all__ and "Code" in convexcodes.__all__
+    for name in ("codes", "geometry", "realization", "topology"):
+        assert name not in convexcodes.__all__
+    for name in convexcodes.__all__:
+        assert not isinstance(getattr(convexcodes, name), types.ModuleType), name
+    namespace: dict = {}
+    exec("from convexcodes import *", namespace)
+    imported = [v for k, v in namespace.items() if not k.startswith("__")]
+    assert imported and not any(isinstance(v, types.ModuleType) for v in imported)

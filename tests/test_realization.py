@@ -25,6 +25,7 @@ from convexcodes import (
     maximal_codewords,
     monotone_extend,
     open_interval,
+    RealizationCertificate,
     potential_cover,
     realize,
     replay_certificate,
@@ -33,7 +34,14 @@ from convexcodes import (
     verify_closure_interior_invariance,
     word_mask,
 )
-from oracles import brute_completion
+from convexcodes.cli import _abstract_cover_text
+from convexcodes.realization import CheckRecord, _potential_word
+from oracles import (
+    brute_completion,
+    chamber_membership_by_filter,
+    pointwise_abstract_words,
+    scan_abstract_cover_text,
+)
 
 
 def compact(n, text):
@@ -124,6 +132,48 @@ def test_chamber_identity_random_codes():
         want = set(oracle) | ({0} if realz.padding_count else set())
         assert realz.achieved_whole.words == frozenset(want)
         assert realz.achieved_union.words == frozenset(oracle) - {0}
+
+
+def test_chamber_membership_and_bundle_match_references():
+    # k <= 8 maxima: sparse membership against the all-points filter, and
+    # the scattered code and the bundle text against per-point readers
+    rng = random.Random(4242)
+    seen_k = set()
+    for trial in range(40):
+        n = rng.randint(2, 9)
+        c = Code(n, frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 10))))
+        ambient = (AMBIENT_WHOLE, AMBIENT_UNION)[trial % 2]
+        realz, cert = max_int_realization(c, ambient, geometric_check_cap=0)
+        if realz.k > 8:
+            continue
+        seen_k.add(realz.k)
+        for i in range(1, n + 1):
+            want = chamber_membership_by_filter(realz.rho[i], realz.k)
+            assert realz.abstract.membership[i] == want
+        assert realz.achieved_whole.words == pointwise_abstract_words(realz.abstract)
+        assert cert.achieved.words == pointwise_abstract_words(cert.cover)
+        assert (cert.cover.ambient is None) == (ambient == AMBIENT_WHOLE)
+        assert _abstract_cover_text(cert.cover) == scan_abstract_cover_text(cert.cover)
+    assert len(seen_k) >= 4
+
+
+def test_geometric_check_above_cap_is_skipped_not_passed():
+    c = compact(4, "12 23 34 14")  # k = 4 maximal words
+    _, checked = max_int_realization(c, AMBIENT_UNION)
+    record = {r.name: r for r in checked.checks}["geometric-agreement"]
+    assert record.passed and not record.skipped and record.status == "pass"
+    _, cert = max_int_realization(c, AMBIENT_UNION, geometric_check_cap=3)
+    record = {r.name: r for r in cert.checks}["geometric-agreement"]
+    assert record.skipped and not record.passed
+    assert record.status == "skipped" and record.detail == "k=4 above cap 3"
+    assert "cell-for-codeword" not in {r.name for r in cert.checks}
+    # a skipped check is not a failed one
+    assert cert.valid and checked.valid
+    failed = RealizationCertificate(
+        cert.target, cert.achieved, cert.method, cert.dimension, cert.ambient,
+        cert.checks + (CheckRecord("extra", False),),
+    )
+    assert not failed.valid
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +314,16 @@ def test_potential_cover_witnesses_exact():
         for i in range(1, 4):
             holds = bool(support) and support <= set(realz.vertex_sets[i])
             assert holds == bool(sigma & (1 << (i - 1)))
+
+
+def test_potential_word_rejects_non_convex_points():
+    vertex_sets = {1: {0, 1}, 2: {1, 2}}
+    assert _potential_word((F(1, 2), F(1, 2), F(0)), vertex_sets) == word_mask([1])
+    assert _potential_word((F(0), F(1), F(0)), vertex_sets) == word_mask([1, 2])
+    assert _potential_word((F(0), F(0), F(1)), vertex_sets) == word_mask([2])
+    # sums to 1 with the same support pattern, but one coordinate is negative
+    assert _potential_word((F(-1, 2), F(3, 2), F(0)), vertex_sets) is None
+    assert _potential_word((F(1, 2), F(1, 4), F(0)), vertex_sets) is None
 
 
 def test_potential_cover_random_oracle():
