@@ -4,26 +4,20 @@ Run with:  python3 demos/03_realizations.py
 """
 
 import tempfile
-from fractions import Fraction as F
 from pathlib import Path
 
 from convexcodes import (
     AMBIENT_WHOLE,
-    Ball,
     Code,
-    ConvexRegion,
-    HalfSpace,
     PolyhedralCover,
     abstract_code,
     abstract_from_cover,
-    chord_cut,
     max_int_realization,
     monotone_extend,
     open_interval,
     potential_cover,
     realize,
     replay_certificate,
-    sample_code,
     simplicial_complex,
 )
 from convexcodes.cli import main
@@ -46,17 +40,6 @@ faces = Code(3, frozenset(simplicial_complex(abstract_code(abstract)).faces()))
 extended = monotone_extend(abstract, faces)
 print("nested intervals extended to the full face code:",
       " ".join(abstract_code(extended).labels()))
-print()
-
-# The geometric twin carves a cap out of a maximal atom inside a ball;
-# it is demonstration grade and verified by seeded sampling.
-slab = ConvexRegion(
-    2, (HalfSpace((F(1), F(0)), F(1), True), HalfSpace((F(-1), F(0)), F(1), True))
-)
-pair = PolyhedralCover(2, (slab, slab), "union")
-cut = chord_cut(pair, Ball((F(0), F(0)), F(2), True), 0b01, 0b11)
-print("chord cut on the double slab:",
-      " ".join(sample_code(cut, budget=8000, seed=23).code.labels()))
 print()
 
 # The potential cover realizes the intersection completion with closed

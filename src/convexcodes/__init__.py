@@ -37,32 +37,25 @@ from .geometry import (
     PolyhedralCover,
     SampleReport,
     arrangement_cells,
-    boundary_cells,
     check_nondegeneracy,
     closed_interval,
-    closure_cells,
     code_of_cover,
     cover_from_text,
     cover_to_text,
     enumerate_cells,
     feasible,
-    interior_cells,
     is_face,
     open_interval,
-    region_cell_sets,
     sample_code,
-    transform_cover,
     verify_closure_interior_invariance,
 )
 from .realization import (
     ChamberRealization,
-    ChordCutError,
     MonotoneExtendError,
     NotApplicable,
     PotentialCoverRealization,
     RealizationCertificate,
     abstract_from_cover,
-    chord_cut,
     max_int_realization,
     monotone_extend,
     potential_cover,

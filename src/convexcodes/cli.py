@@ -15,8 +15,8 @@ from pathlib import Path
 from .codes import (
     Code,
     CodeParseError,
-    classify_completeness,
     code_from_text,
+    intersection_completion,
     simplicial_complex,
     simplicial_violators,
     word_key,
@@ -25,11 +25,9 @@ from .codes import (
 from .geometry import (
     BallConstraintError,
     CoverParseError,
-    DimensionCapError,
     HyperplaneBudgetError,
     MixedRelationsError,
     NonFullDimensionalRegionError,
-    TransformError,
     arrangement_cells,
     check_nondegeneracy,
     code_of_cover,
@@ -78,7 +76,7 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
     violators = sorted(simplicial_violators(code), key=word_key)
     scan = local_obstructions(code)
     nonlocal_ = nonlocal_obstructions(code, max_pair_budget=nonlocal_budget)
-    completeness = classify_completeness(code)
+    # realize refuses exactly the codes that are not max intersection-complete
     ra = realize(code)
     if isinstance(ra, NotApplicable):
         realization = {
@@ -118,8 +116,8 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
             }
             for o in nonlocal_
         ],
-        "intersection_complete": completeness.intersection_complete,
-        "max_intersection_complete": completeness.max_intersection_complete,
+        "intersection_complete": intersection_completion(code) == code,
+        "max_intersection_complete": not isinstance(ra, NotApplicable),
         "realization": realization,
     }
 
@@ -298,7 +296,7 @@ def cmd_cover_code(args) -> int:
     if args.nondegen:
         try:
             rep = check_nondegeneracy(cover, cells)
-        except (NonFullDimensionalRegionError, DimensionCapError) as exc:
+        except NonFullDimensionalRegionError as exc:
             print(f"cannot check non-degeneracy: {exc}", file=sys.stderr)
             return EXIT_CAPABILITY
         print(f"cond_i: {str(rep.cond_i).lower()}")
@@ -311,7 +309,7 @@ def cmd_cover_code(args) -> int:
     if args.invariance:
         try:
             inv = verify_closure_interior_invariance(cover, cells)
-        except (MixedRelationsError, TransformError, DimensionCapError) as exc:
+        except (MixedRelationsError, NonFullDimensionalRegionError) as exc:
             print(f"cannot check invariance: {exc}", file=sys.stderr)
             return EXIT_CAPABILITY
         if inv.code_equal_cl is not None:
@@ -353,7 +351,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("realize", help="construct a verified convex realization")
     p.add_argument("code_file")
-    p.add_argument("--method", choices=["chamber", "potential", "auto"], default="auto")
+    p.add_argument("--method", choices=["chamber", "potential"], default="chamber")
     p.add_argument("--ambient", choices=["whole", "union"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_realize)

@@ -7,7 +7,11 @@ when the witness is built back.  Cells of a hyperplane arrangement are
 enumerated as feasible sign vectors with exact witness points, refining
 one plane at a time with at most one feasibility call per (cell, plane):
 the other signs follow from the convexity and relative openness of cells.
-The code of a polyhedral cover is read off the cell lattice.  Regions may
+One pass over the cells gives each cell three region words: exact,
+closure (every condition weakened) and interior (every condition strict).
+The code of a polyhedral cover, the lower-dimensional refusal, both
+non-degeneracy conditions and the codes of the closure and interior are
+all read from these words, with no further feasibility call.  Regions may
 carry one optional ball constraint; balls leave the exact fragment and are
 handled only by seeded Monte Carlo sampling, whose points are held as
 integers over a common denominator and classified exactly.
@@ -21,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .codes import Code, word_key, word_label, word_neurons
+from .codes import Code, word_key, word_label
 
 Vec = tuple[Fraction, ...]
 
@@ -489,50 +493,19 @@ def is_face(c: tuple[int, ...], t: tuple[int, ...]) -> bool:
     return True
 
 
-def closure_cells(members: set[int], cells: Sequence[Cell]) -> set[int]:
-    """Indices of cells contained in the closure of the given cell set."""
-    return {
-        i
-        for i, c in enumerate(cells)
-        if any(is_face(c.signs, cells[j].signs) for j in members)
-    }
-
-
-def interior_cells(members: set[int], cells: Sequence[Cell]) -> set[int]:
-    """Indices of cells contained in the interior of the given cell set.
-
-    A point of a cell c has arbitrarily close points exactly in the cells t
-    whose closure contains c, so c is interior iff all such t are members.
-    """
-    out = set()
-    for i, c in enumerate(cells):
-        if i not in members:
-            continue
-        if all(
-            j in members
-            for j, t in enumerate(cells)
-            if is_face(c.signs, t.signs)
-        ):
-            out.add(i)
-    return out
-
-
-def boundary_cells(members: set[int], cells: Sequence[Cell]) -> set[int]:
-    return closure_cells(members, cells) - interior_cells(members, cells)
-
-
 # ---------------------------------------------------------------------------
-# code of a cover
+# one classification of the cells of a cover
 
-# Compiled region: per half-space, the canonical plane index, the sign a
-# point must have to lie strictly inside, and the strictness flag.
+# A region (or the ambient region) compiles to three bit masks over the
+# canonical planes: the planes whose negative side it wants, the planes
+# whose positive side it wants, and the planes it bounds strictly.
 
 
 @dataclass(frozen=True)
 class _Compiled:
     planes: tuple[tuple[Vec, Fraction], ...]
-    region_conds: tuple[tuple[tuple[int, int, bool], ...], ...]
-    ambient_conds: tuple[tuple[int, int, bool], ...] | None  # None unless region
+    regions: tuple[tuple[int, int, int], ...]
+    ambient: tuple[int, int, int] | None  # None unless the ambient is a region
 
 
 def _compile(cover: PolyhedralCover) -> _Compiled:
@@ -541,44 +514,30 @@ def _compile(cover: PolyhedralCover) -> _Compiled:
             "cover carries ball constraints; exact cell enumeration is "
             "unavailable, use sample_code"
         )
-    plane_ix: dict[tuple[Vec, Fraction], int] = {}
-
-    def cond_of(h: HalfSpace) -> tuple[int, int, bool]:
-        key, orient = canonical_hyperplane(h.normal, h.offset)
-        if key not in plane_ix:
-            plane_ix[key] = len(plane_ix)
-        # normal.x < offset  <=>  orient * (v.x - b) < 0
-        return (plane_ix[key], -orient, h.strict)
-
-    region_conds = tuple(
-        tuple(cond_of(h) for h in r.halfspaces) for r in cover.regions
-    )
-    ambient_conds = None
+    bounded = list(cover.regions)
     if isinstance(cover.ambient, ConvexRegion):
-        ambient_conds = tuple(cond_of(h) for h in cover.ambient.halfspaces)
-    planes = tuple(sorted(plane_ix, key=lambda p: (p[0], p[1])))
-    renumber = {plane_ix[p]: i for i, p in enumerate(planes)}
-    region_conds = tuple(
-        tuple((renumber[ix], sg, st) for ix, sg, st in conds)
-        for conds in region_conds
-    )
-    if ambient_conds is not None:
-        ambient_conds = tuple((renumber[ix], sg, st) for ix, sg, st in ambient_conds)
-    return _Compiled(planes, region_conds, ambient_conds)
-
-
-def _satisfies(signs: tuple[int, ...], conds, weaken: bool = False, strengthen: bool = False) -> bool:
-    for ix, want, strict in conds:
-        s = signs[ix]
-        if strengthen:
-            ok = s == want
-        elif strict and not weaken:
-            ok = s == want
-        else:
-            ok = s == want or s == 0
-        if not ok:
-            return False
-    return True
+        bounded.append(cover.ambient)
+    conds = [
+        [(*canonical_hyperplane(h.normal, h.offset), h.strict) for h in r.halfspaces]
+        for r in bounded
+    ]
+    planes = tuple(sorted({key for cs in conds for key, _, _ in cs}))
+    index = {p: k for k, p in enumerate(planes)}
+    masks = []
+    for cs in conds:
+        neg = pos = strict = 0
+        for key, orient, st in cs:
+            bit = 1 << index[key]
+            # normal.x < offset  <=>  orient * (v.x - b) < 0
+            if orient > 0:
+                neg |= bit
+            else:
+                pos |= bit
+            if st:
+                strict |= bit
+        masks.append((neg, pos, strict))
+    ambient = masks.pop() if isinstance(cover.ambient, ConvexRegion) else None
+    return _Compiled(planes, tuple(masks), ambient)
 
 
 def arrangement_cells(cover: PolyhedralCover, max_hyperplanes: int = HYPERPLANE_CAP) -> CellComplex:
@@ -587,37 +546,99 @@ def arrangement_cells(cover: PolyhedralCover, max_hyperplanes: int = HYPERPLANE_
     return enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
 
 
-def region_cell_sets(
-    cover: PolyhedralCover, cells: CellComplex | None = None
-) -> tuple[list[tuple[set[int], set[int], set[int]]], CellComplex]:
-    """Per region, the cell index sets of the region, its closure, and its
-    interior, on the cover's own arrangement.
+@dataclass(frozen=True)
+class _CellWords:
+    """Three region words per cell of a cover's arrangement.
 
-    Closure and interior read the weakened and strengthened constraints,
-    which is exact for full-dimensional or empty regions.
+    exact: the regions containing the cell.  closure: the regions whose
+    weakened system holds on it.  interior: the regions whose strict system
+    holds on it.  Every boundary is a plane of the arrangement, so a whole
+    cell lies inside or outside each of these sets.  The weakened system
+    is the closure of a non-empty region, and the strict system is always
+    its interior.
     """
+
+    cells: tuple[Cell, ...]
+    exact: tuple[int, ...]
+    closure: tuple[int, ...]
+    interior: tuple[int, ...]
+    in_ambient: tuple[bool, ...]  # inside the ambient region, if there is one
+    union: bool  # the ambient is the union of the regions
+
+    def atlas(self, words: Sequence[int]) -> dict[int, list[int]]:
+        """Cell indices per word, over the cells inside the ambient."""
+        out: dict[int, list[int]] = {}
+        for ix, w in enumerate(words):
+            if self.in_ambient[ix] and (w or not self.union):
+                out.setdefault(w, []).append(ix)
+        return out
+
+    def refuse_lower_dimensional(self, cover: PolyhedralCover) -> None:
+        """Raise for the first region whose weakened system meets a cell
+        while its strict system meets none: the weak system is feasible
+        and the strict one is not."""
+        reached = inner = 0
+        for c, i in zip(self.closure, self.interior):
+            reached |= c
+            inner |= i
+        lower = reached & ~inner
+        if lower:
+            i = (lower & -lower).bit_length() - 1
+            strict = [(h.normal, h.offset, "<") for h in cover.regions[i].halfspaces]
+            raise NonFullDimensionalRegionError(i, strict)
+
+
+def _classify(
+    cover: PolyhedralCover,
+    cells: CellComplex | None = None,
+    max_hyperplanes: int = HYPERPLANE_CAP,
+) -> _CellWords:
+    """Each cell's sign vector as negative, positive and zero plane masks,
+    tested against every region's masks in one pass."""
     comp = _compile(cover)
     if cells is None:
-        cells = enumerate_cells(comp.planes, cover.dimension)
+        cells = enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
     elif cells.hyperplanes != comp.planes:
         raise ValueError("supplied cells were built from a different arrangement")
-    out = []
-    for conds in comp.region_conds:
-        exact = {
-            ix for ix, c in enumerate(cells.cells) if _satisfies(c.signs, conds)
-        }
-        closed = {
-            ix
-            for ix, c in enumerate(cells.cells)
-            if _satisfies(c.signs, conds, weaken=True)
-        }
-        inner = {
-            ix
-            for ix, c in enumerate(cells.cells)
-            if _satisfies(c.signs, conds, strengthen=True)
-        }
-        out.append((exact, closed, inner))
-    return out, cells
+    exact, closure, interior, in_ambient = [], [], [], []
+    for cell in cells.cells:
+        neg = pos = zero = 0
+        for k, s in enumerate(cell.signs):
+            if s < 0:
+                neg |= 1 << k
+            elif s > 0:
+                pos |= 1 << k
+            else:
+                zero |= 1 << k
+        e = c = i = 0
+        for r, (want_neg, want_pos, strict) in enumerate(comp.regions):
+            if want_neg & pos or want_pos & neg:
+                continue
+            c |= 1 << r
+            if not zero & strict:
+                e |= 1 << r
+            if not zero & (want_neg | want_pos):
+                i |= 1 << r
+        exact.append(e)
+        closure.append(c)
+        interior.append(i)
+        if comp.ambient is None:
+            in_ambient.append(True)
+        else:
+            want_neg, want_pos, strict = comp.ambient
+            in_ambient.append(not (want_neg & pos or want_pos & neg or zero & strict))
+    return _CellWords(
+        cells.cells,
+        tuple(exact),
+        tuple(closure),
+        tuple(interior),
+        tuple(in_ambient),
+        cover.ambient == AMBIENT_UNION,
+    )
+
+
+# ---------------------------------------------------------------------------
+# code of a cover
 
 
 def code_of_cover(
@@ -630,83 +651,12 @@ def code_of_cover(
     Every half-space boundary joins one arrangement, so membership of a
     whole cell in a region is read off the cell's sign vector.
     """
-    comp = _compile(cover)
-    if cells is None:
-        cells = enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
-    elif cells.hyperplanes != comp.planes:
-        raise ValueError("supplied cells were built from a different arrangement")
-    atlas: dict[int, list[Cell]] = {}
-    for cell in cells.cells:
-        word = 0
-        for i, conds in enumerate(comp.region_conds):
-            if _satisfies(cell.signs, conds):
-                word |= 1 << i
-        if comp.ambient_conds is not None:
-            if not _satisfies(cell.signs, comp.ambient_conds):
-                continue
-        elif cover.ambient == AMBIENT_UNION and word == 0:
-            continue
-        atlas.setdefault(word, []).append(replace(cell, codeword=word))
-    code = Code(cover.n, frozenset(atlas))
-    return code, {w: tuple(cs) for w, cs in atlas.items()}
-
-
-# ---------------------------------------------------------------------------
-# closure / interior transforms
-
-
-class TransformError(ValueError):
-    def __init__(self, offenders: list[tuple[int, list]]):
-        idx = ", ".join(str(i) for i, _ in offenders)
-        super().__init__(f"regions not full-dimensional: {idx}")
-        self.offenders = offenders
-
-
-CLOSURE = "closure"
-INTERIOR = "interior"
-
-
-def _strict_system(region: ConvexRegion):
-    return [(h.normal, h.offset, "<") for h in region.halfspaces]
-
-
-def transform_cover(cover: PolyhedralCover, mode: str) -> PolyhedralCover:
-    """Flip strict/weak relations; topologically valid for full-dimensional
-    polyhedra, which is checked per region and enforced.
-
-    An empty region is also accepted when its flipped system stays empty,
-    since the closure and interior of the empty set are empty.
-    """
-    if mode not in (CLOSURE, INTERIOR):
-        raise ValueError(f"unknown transform mode {mode!r}")
-    if cover.has_balls():
-        raise BallConstraintError("closure/interior transforms need ball-free covers")
-    offenders = []
-    for i, r in enumerate(cover.regions):
-        sys = _strict_system(r)
-        if feasible(sys, cover.dimension) is not None:
-            continue
-        as_given = [
-            (h.normal, h.offset, "<" if h.strict else "<=") for h in r.halfspaces
-        ]
-        weak = [(h.normal, h.offset, "<=") for h in r.halfspaces]
-        empty_now = feasible(as_given, cover.dimension) is None
-        flip_target = sys if mode == INTERIOR else weak
-        stays_empty = feasible(flip_target, cover.dimension) is None
-        if empty_now and stays_empty:
-            continue
-        offenders.append((i, sys))
-    if offenders:
-        raise TransformError(offenders)
-    want_strict = mode == INTERIOR
-    regions = tuple(
-        ConvexRegion(
-            r.dimension,
-            tuple(replace(h, strict=want_strict) for h in r.halfspaces),
-        )
-        for r in cover.regions
-    )
-    return replace(cover, regions=regions)
+    words = _classify(cover, cells, max_hyperplanes)
+    atlas = {
+        w: tuple(replace(words.cells[ix], codeword=w) for ix in ixs)
+        for w, ixs in words.atlas(words.exact).items()
+    }
+    return Code(cover.n, frozenset(atlas)), atlas
 
 
 # ---------------------------------------------------------------------------
@@ -740,67 +690,44 @@ def check_nondegeneracy(
          boundary of the intersection of those regions.
 
     Atoms are taken over the whole space regardless of the cover's ambient
-    mode.
+    mode.  A lower-dimensional region is refused.
     """
-    comp = _compile(cover)
-    for i, r in enumerate(cover.regions):
-        weak = [(h.normal, h.offset, "<=") for h in r.halfspaces]
-        if feasible(weak, cover.dimension) is None:
-            continue  # empty region never contributes
-        sys = _strict_system(r)
-        if feasible(sys, cover.dimension) is None:
-            raise NonFullDimensionalRegionError(i, sys)
-    if cells is None:
-        cells = enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
-    all_cells = cells.cells
-
-    def word_of(signs) -> int:
-        w = 0
-        for i, conds in enumerate(comp.region_conds):
-            if _satisfies(signs, conds):
-                w |= 1 << i
-        return w
+    words = _classify(cover, cells, max_hyperplanes)
+    words.refuse_lower_dimensional(cover)
+    all_cells = words.cells
 
     atoms: dict[int, list[int]] = {}
-    for ix, cell in enumerate(all_cells):
-        atoms.setdefault(word_of(cell.signs), []).append(ix)
+    for ix, w in enumerate(words.exact):
+        atoms.setdefault(w, []).append(ix)
 
     offenders: list[Offender] = []
 
     # condition (i)
     for sigma, members in sorted(atoms.items(), key=lambda kv: word_key(kv[0])):
-        fulls = [ix for ix in members if all_cells[ix].full_dim]
+        fulls = [all_cells[ix].signs for ix in members if all_cells[ix].full_dim]
         for ix in members:
-            if not any(
-                is_face(all_cells[ix].signs, all_cells[j].signs) for j in fulls
-            ):
+            if not any(is_face(all_cells[ix].signs, t) for t in fulls):
                 offenders.append(Offender("i", sigma, all_cells[ix]))
 
-    # condition (ii)
-    per_region, _ = region_cell_sets(cover, cells)
-    in_region = [exact for exact, _, _ in per_region]
-    bd_region = [closed - inner for _, closed, inner in per_region]
-
+    # condition (ii).  Every region is now empty or full-dimensional, so a
+    # cell lies on the boundary of region i iff it has closure bit i and not
+    # interior bit i.  A cell on the boundary of every region of sigma thus
+    # has a closure word containing sigma and an interior word missing it.
+    # When the intersection of sigma is non-empty, its closure and interior
+    # are read from those same words, so the cell lies on its boundary; when
+    # the intersection is empty, so is its boundary.
+    on_boundary = [c & ~i for c, i in zip(words.closure, words.interior)]
     candidates: set[int] = set()
-    for ix in range(len(all_cells)):
-        touched = 0
-        for i, bd in enumerate(bd_region):
-            if ix in bd:
-                touched |= 1 << i
-        if touched:
-            sub = touched
-            while sub:
-                candidates.add(sub)
-                sub = (sub - 1) & touched
+    for touched in on_boundary:
+        sub = touched
+        while sub:
+            candidates.add(sub)
+            sub = (sub - 1) & touched
     for sigma in sorted(candidates, key=word_key):
-        idxs = word_neurons(sigma)
-        common_bd = set.intersection(*(bd_region[i - 1] for i in idxs))
-        if not common_bd:
+        if any(w & sigma == sigma for w in words.exact):
             continue
-        inter = set.intersection(*(in_region[i - 1] for i in idxs))
-        bd_inter = boundary_cells(inter, all_cells)
-        for ix in sorted(common_bd):
-            if ix not in bd_inter:
+        for ix, touched in enumerate(on_boundary):
+            if touched & sigma == sigma:
                 offenders.append(Offender("ii", sigma, all_cells[ix]))
 
     cond_i = not any(o.condition == "i" for o in offenders)
@@ -820,22 +747,25 @@ def verify_closure_interior_invariance(
 ) -> InvarianceReport:
     """Compare the cover's code with the code of its closure or interior.
 
-    The cover must be all-open or all-closed; the flipped cover shares the
-    same arrangement, so the cell complex is computed once.
+    The cover must be all-open or all-closed, and every non-empty region
+    full-dimensional.  The closure of an open cover weakens every
+    condition and the interior of a closed cover makes every condition
+    strict, so both codes are read from the same cells, through the same
+    ambient.
     """
     rels: set[bool] = set()
     for r in cover.regions:
         rels |= r.all_relations()
     if rels == {True, False}:
         raise MixedRelationsError("cover mixes strict and weak regions")
-    if cells is None:
-        cells = arrangement_cells(cover)
-    base, _ = code_of_cover(cover, cells)
+    words = _classify(cover, cells)
+    words.refuse_lower_dimensional(cover)
+    base = words.atlas(words.exact).keys()
     if rels in (set(), {True}):  # open cover (or all-trivial regions)
-        other, _ = code_of_cover(transform_cover(cover, CLOSURE), cells)
-        return InvarianceReport(code_equal_cl=base.words == other.words, code_equal_int=None)
-    other, _ = code_of_cover(transform_cover(cover, INTERIOR), cells)
-    return InvarianceReport(code_equal_cl=None, code_equal_int=base.words == other.words)
+        other = words.atlas(words.closure).keys()
+        return InvarianceReport(code_equal_cl=base == other, code_equal_int=None)
+    other = words.atlas(words.interior).keys()
+    return InvarianceReport(code_equal_cl=None, code_equal_int=base == other)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .codes import (
 from .geometry import (
     AMBIENT_UNION,
     AMBIENT_WHOLE,
-    Ball,
     CellComplex,
     ConvexRegion,
     HalfSpace,
@@ -39,8 +38,6 @@ from .geometry import (
     code_of_cover,
     dot,
     enumerate_cells,
-    feasible,
-    sample_code,
 )
 
 GEOMETRIC_CHECK_CAP = 4  # verify the half-space cover whenever k stays this small
@@ -394,179 +391,6 @@ def abstract_from_cover(
         {i: frozenset(s) for i, s in membership.items()},
         None,
     )
-
-
-# ---------------------------------------------------------------------------
-# geometric chord cutter (demonstration grade, verified by sampling)
-
-
-class ChordCutError(ValueError):
-    pass
-
-
-def chord_cut(
-    cover: PolyhedralCover,
-    ball: Ball,
-    sigma0: int,
-    alpha: int,
-    witness: Vec | None = None,
-    budget: int = 20000,
-    seed: int = 11,
-) -> PolyhedralCover:
-    """Cut a cap out of the atom of `alpha` to uncover the codeword `sigma0`.
-
-    All regions keep the open ball constraint; the sets of `sigma0` keep the
-    full cap while the others lose the closed half-space bounding it.  The
-    construction is validated by seeded sampling against the expected code
-    and retried with a thinner cap on mismatch.
-    """
-    if sigma0 == 0:
-        raise ChordCutError("sigma0 must be a non-empty proper subset of alpha")
-    if sigma0 & alpha != sigma0 or sigma0 == alpha:
-        raise ChordCutError("sigma0 must be a non-empty proper subset of alpha")
-    if cover.dimension < 2:
-        raise ChordCutError("chord cutter needs dimension at least 2")
-    for r in cover.regions:
-        if r.ball is not None or any(not h.strict for h in r.halfspaces):
-            raise ChordCutError("cover must be open polyhedral without balls")
-
-    restricted = _restrict_to_ball(cover, ball)
-    reference = sample_code(restricted, budget, seed)
-    expected = set(reference.code.words) | {sigma0}
-
-    base = witness if witness is not None else _atom_witness(cover, ball, alpha)
-    if base is None:
-        raise ChordCutError("no rational witness found in the target atom")
-
-    # the cap must stay inside the atom (thin) yet carry enough measure for
-    # the sampling check to see it; retries shave it thinner
-    for pullback in (Fraction(1, 8), Fraction(1, 32), Fraction(1, 128)):
-        w = _push_to_sphere(cover, ball, alpha, base, pullback)
-        u = tuple(wi - ci for wi, ci in zip(w, ball.center))
-        if not any(u):
-            continue
-        # the cap is the closed half-space {u.x >= u.w}; sets outside sigma0
-        # keep only its open complement
-        keep = HalfSpace(u, dot(u, w), True)
-        regions = []
-        for i, r in enumerate(cover.regions):
-            hs = list(r.halfspaces)
-            if not sigma0 & (1 << i):
-                hs.append(keep)
-            regions.append(ConvexRegion(cover.dimension, tuple(hs), ball))
-        candidate = PolyhedralCover(cover.dimension, tuple(regions), _ball_ambient(cover, ball))
-        observed = sample_code(candidate, budget, seed)
-        if set(observed.code.words) == expected:
-            return candidate
-    raise ChordCutError(
-        f"no admissible cap found near witness {tuple(map(str, base))}"
-    )
-
-
-def _ball_ambient(cover: PolyhedralCover, ball: Ball):
-    if cover.ambient == AMBIENT_UNION:
-        return AMBIENT_UNION
-    if isinstance(cover.ambient, ConvexRegion):
-        return ConvexRegion(
-            cover.dimension, cover.ambient.halfspaces, ball
-        )
-    return ConvexRegion(cover.dimension, (), ball)
-
-
-def _restrict_to_ball(cover: PolyhedralCover, ball: Ball) -> PolyhedralCover:
-    regions = tuple(
-        ConvexRegion(r.dimension, r.halfspaces, ball) for r in cover.regions
-    )
-    return PolyhedralCover(cover.dimension, regions, _ball_ambient(cover, ball))
-
-
-def _atom_witness(cover: PolyhedralCover, ball: Ball, alpha: int) -> Vec | None:
-    """A rational point of the atom of alpha inside the ball.
-
-    Feasibility runs on the sets of alpha intersected with a small central
-    box of the ball; exclusion from the other sets is then checked exactly.
-    """
-    d = cover.dimension
-    h = ball.radius / (2 * d)  # box inside the ball: d * h^2 < r^2
-    cons = []
-    for j in range(d):
-        e = tuple(Fraction(1 if t == j else 0) for t in range(d))
-        cons.append((e, ball.center[j] + h, "<"))
-        cons.append((tuple(-c for c in e), -(ball.center[j] - h), "<"))
-    for i in word_neurons(alpha):
-        for hs in cover.regions[i - 1].halfspaces:
-            cons.append((hs.normal, hs.offset, "<" if hs.strict else "<="))
-    w = feasible(cons, d)
-    if w is None:
-        return None
-    for j in range(cover.n):
-        if not alpha & (1 << j) and cover.regions[j].contains(w):
-            return None
-    return w
-
-
-def _push_to_sphere(
-    cover: PolyhedralCover, ball: Ball, alpha: int, base: Vec, pullback: Fraction
-) -> Vec:
-    """Walk from the center toward the sphere while staying in the atom.
-
-    Several directions are tried (radially through `base`, then the axes);
-    the walk that gets closest to the sphere wins, and its endpoint is then
-    pulled back toward the center by the given fraction so the cap keeps
-    some thickness.
-    """
-
-    def good(x: Vec) -> bool:
-        if not ball.contains(x):
-            return False
-        for j in range(cover.n):
-            inside = cover.regions[j].contains(x)
-            if bool(alpha & (1 << j)) != inside:
-                return False
-        return True
-
-    d = cover.dimension
-    directions: list[Vec] = []
-    radial = tuple(b - c for b, c in zip(base, ball.center))
-    if any(radial):
-        directions.append(radial)
-    for j in range(d):
-        e = tuple(Fraction(1 if t == j else 0) for t in range(d))
-        directions.append(e)
-        directions.append(tuple(-c for c in e))
-
-    r2 = ball.radius**2
-    best: tuple[Fraction, Vec] | None = None
-    for u in directions:
-
-        def at(t: Fraction) -> Vec:
-            return tuple(c + t * ui for c, ui in zip(ball.center, u))
-
-        t = Fraction(1)
-        shrink = 0
-        while not good(at(t)) and shrink < 24:
-            t /= 2
-            shrink += 1
-        if not good(at(t)):
-            continue
-        t_good, t_bad = t, t * 2
-        grow = 0
-        while good(at(t_bad)) and grow < 60:
-            t_good, t_bad = t_bad, t_bad * 2
-            grow += 1
-        for _ in range(24):
-            mid = (t_good + t_bad) / 2
-            if good(at(mid)):
-                t_good = mid
-            else:
-                t_bad = mid
-        pulled = t_good * (1 - pullback)
-        w = at(pulled) if good(at(pulled)) else at(t_good)
-        d2 = sum((wi - ci) ** 2 for wi, ci in zip(w, ball.center))
-        score = d2 / r2
-        if best is None or score > best[0]:
-            best = (score, w)
-    return best[1] if best else base
 
 
 # ---------------------------------------------------------------------------

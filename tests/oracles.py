@@ -329,3 +329,160 @@ def scan_abstract_cover_text(cover) -> str:
 def chamber_membership_by_filter(rho: int, k: int) -> frozenset[int]:
     """The non-empty subsets of [k] inside rho, found by testing every subset."""
     return frozenset(p for p in range(1, 1 << k) if p & rho == p)
+
+
+# ---------------------------------------------------------------------------
+# Non-degeneracy and closure/interior invariance the first way: cells are
+# placed in regions by their witness points, cell sets are closed and
+# opened by testing every pair of cells with `is_face`, lower-dimensional
+# regions are found with two feasibility calls each, and the closure or
+# interior of a cover is built as a transformed cover.  The reference the
+# single cell classification is checked against.
+
+
+def is_face(c, t) -> bool:
+    """cell(c) lies in the closure of cell(t)."""
+    return all(b == a if b == 0 else a in (0, b) for a, b in zip(c, t))
+
+
+def closure_cells(members, cells) -> set[int]:
+    """Indices of cells contained in the closure of the given cell set."""
+    return {
+        i for i, c in enumerate(cells) if any(is_face(c.signs, cells[j].signs) for j in members)
+    }
+
+
+def interior_cells(members, cells) -> set[int]:
+    """Indices of member cells whose every coface is a member: a point of a
+    cell c has arbitrarily close points exactly in the cells t with c a face
+    of t."""
+    return {
+        i
+        for i in members
+        if all(j in members for j, t in enumerate(cells) if is_face(cells[i].signs, t.signs))
+    }
+
+
+def boundary_cells(members, cells) -> set[int]:
+    return closure_cells(members, cells) - interior_cells(members, cells)
+
+
+class LowerDimensional(Exception):
+    """Regions whose weak system is feasible and strict system is not."""
+
+    def __init__(self, regions):
+        super().__init__(regions)
+        self.regions = regions
+
+
+def lower_dimensional_regions(cover) -> list[int]:
+    out = []
+    for i, r in enumerate(cover.regions):
+        weak = [(h.normal, h.offset, "<=") for h in r.halfspaces]
+        strict = [(h.normal, h.offset, "<") for h in r.halfspaces]
+        if fraction_feasible(weak, cover.dimension) is None:
+            continue
+        if fraction_feasible(strict, cover.dimension) is None:
+            out.append(i)
+    return out
+
+
+def transform_cover(cover, closure: bool):
+    """The cover with every relation weak (closure) or strict (interior).
+
+    Refused when a region is not full-dimensional, unless it is empty and
+    stays empty after the flip.
+    """
+    offenders = []
+    for i, r in enumerate(cover.regions):
+        strict = [(h.normal, h.offset, "<") for h in r.halfspaces]
+        if fraction_feasible(strict, cover.dimension) is not None:
+            continue
+        as_given = [(h.normal, h.offset, "<" if h.strict else "<=") for h in r.halfspaces]
+        weak = [(h.normal, h.offset, "<=") for h in r.halfspaces]
+        flipped = weak if closure else strict
+        if (
+            fraction_feasible(as_given, cover.dimension) is None
+            and fraction_feasible(flipped, cover.dimension) is None
+        ):
+            continue
+        offenders.append(i)
+    if offenders:
+        raise LowerDimensional(offenders)
+    regions = tuple(
+        type(r)(
+            r.dimension,
+            tuple(type(h)(h.normal, h.offset, not closure) for h in r.halfspaces),
+        )
+        for r in cover.regions
+    )
+    return type(cover)(cover.dimension, regions, cover.ambient)
+
+
+def witness_words(cover, cells) -> list[int]:
+    """Per cell, the regions containing its witness point."""
+    return [
+        sum(1 << i for i, r in enumerate(cover.regions) if r.contains(c.witness))
+        for c in cells
+    ]
+
+
+def witness_code(cover, cells) -> frozenset[int]:
+    """The words of the cells whose witness lies in the ambient."""
+    out = set()
+    for c, w in zip(cells, witness_words(cover, cells)):
+        if isinstance(cover.ambient, str):
+            keep = cover.ambient == "whole" or w != 0
+        else:
+            keep = cover.ambient.contains(c.witness)
+        if keep:
+            out.add(w)
+    return frozenset(out)
+
+
+def _word_order(w):
+    """Cardinality first, then the neuron indices lexicographically."""
+    return bin(w).count("1"), tuple(i for i in range(w.bit_length()) if w >> i & 1)
+
+
+def reference_nondegeneracy(cover, cells):
+    """(cond_i, cond_ii, offenders as (condition, sigma, signs)); raises
+    LowerDimensional first."""
+    lower = lower_dimensional_regions(cover)
+    if lower:
+        raise LowerDimensional(lower)
+    words = witness_words(cover, cells)
+    offenders = []
+    for sigma in sorted(set(words), key=_word_order):
+        members = [ix for ix, w in enumerate(words) if w == sigma]
+        fulls = [ix for ix in members if cells[ix].full_dim]
+        for ix in members:
+            if not any(is_face(cells[ix].signs, cells[j].signs) for j in fulls):
+                offenders.append(("i", sigma, cells[ix].signs))
+    in_region = [{ix for ix, w in enumerate(words) if w >> i & 1} for i in range(cover.n)]
+    bd_region = [boundary_cells(s, cells) for s in in_region]
+    candidates = set()
+    for ix in range(len(cells)):
+        touched = sum(1 << i for i in range(cover.n) if ix in bd_region[i])
+        candidates.update(s for s in submasks(touched) if s)
+    for sigma in sorted(candidates, key=_word_order):
+        idxs = [i for i in range(cover.n) if sigma >> i & 1]
+        common = set.intersection(*(bd_region[i] for i in idxs))
+        inter = set.intersection(*(in_region[i] for i in idxs))
+        bd_inter = boundary_cells(inter, cells)
+        for ix in sorted(common - bd_inter):
+            offenders.append(("ii", sigma, cells[ix].signs))
+    cond_i = not any(o[0] == "i" for o in offenders)
+    cond_ii = not any(o[0] == "ii" for o in offenders)
+    return cond_i, cond_ii, offenders
+
+
+def reference_invariance(cover, cells):
+    """(code_equal_cl, code_equal_int) through the transformed cover; raises
+    LowerDimensional for a refused transform."""
+    strict = any(h.strict for r in cover.regions for h in r.halfspaces)
+    weak = any(not h.strict for r in cover.regions for h in r.halfspaces)
+    assert not (strict and weak), "mixed covers have no invariance verdict"
+    closure = not weak
+    same = witness_code(cover, cells) == witness_code(transform_cover(cover, closure), cells)
+    return (same, None) if closure else (None, same)

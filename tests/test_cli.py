@@ -1,7 +1,10 @@
 import json
+import random
 
-from convexcodes import Code, code_to_text, cover_to_text
-from convexcodes.cli import main
+import pytest
+
+from convexcodes import Code, classify_completeness, code_to_text, cover_to_text
+from convexcodes.cli import analysis_report, main
 from convexcodes.verification import (
     closed_line_split_cover,
     five_neuron_closed_cover,
@@ -31,6 +34,18 @@ def test_analyze_five_neuron_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "local-obstruction" not in out
     assert "max-intersection-complete: false" in out
+
+
+def test_analyze_completeness_flags_match_classification():
+    rng = random.Random(4417)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        words = frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 10)))
+        code = Code(n, words)
+        report = analysis_report(code, nonlocal_budget=200)
+        want = classify_completeness(code)
+        assert report["intersection_complete"] == want.intersection_complete
+        assert report["max_intersection_complete"] == want.max_intersection_complete
 
 
 def test_analyze_json_mirrors_text(tmp_path, capsys):
@@ -75,13 +90,16 @@ def test_analyze_bad_line_reports_line_number(tmp_path, capsys):
 def test_realize_bundle(tmp_path, capsys):
     path = write_code(tmp_path, "c.code", 4, "123 134 13 1")
     out_dir = tmp_path / "bundle"
-    assert main(["realize", path, "--method", "auto", "--out", str(out_dir)]) == 0
+    assert main(["realize", path, "--method", "chamber", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "dimension: 2" in out
     assert "valid: true" in out
     assert (out_dir / "certificate.txt").exists()
     assert (out_dir / "abstract_cover.txt").exists()
     assert (out_dir / "cover.txt").exists()
+    with pytest.raises(SystemExit):  # chamber is the default; auto is gone
+        main(["realize", path, "--method", "auto"])
+    capsys.readouterr()
 
 
 def test_realize_not_applicable_exit_1(tmp_path, capsys):
@@ -157,13 +175,32 @@ def test_cover_code_over_hyperplane_cap_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_cover_code_over_dimension_cap_exit_3(tmp_path, capsys):
+    # non-degeneracy and invariance read the cells, so a cover above the
+    # feasibility kernel's dimension cap is checked in full
     path = tmp_path / "tall.cover"
     path.write_text("d=9 n=1 ambient=whole\nSET\nH 1 0 0 0 0 0 0 0 0 : 1 lt\n")
-    assert main(["cover-code", str(path), "--nondegen"]) == 3
+    assert main(["cover-code", str(path), "--nondegen", "--invariance"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "code: 0 1",
+        "cells 0: 2",
+        "cells 1: 1",
+        "cond_i: true",
+        "cond_ii: true",
+        "code-equal-closure: true",
+    ]
+    assert captured.err == ""
+    # a non-empty region without interior is still refused with exit 3
+    path.write_text(
+        "d=9 n=1 ambient=whole\nSET\n"
+        "H 1 0 0 0 0 0 0 0 0 : 1 le\nH -1 0 0 0 0 0 0 0 0 : -1 le\n"
+    )
+    assert main(["cover-code", str(path), "--invariance"]) == 3
     captured = capsys.readouterr()
     assert captured.out.startswith("code: 0 1\n")
     assert captured.err.strip().splitlines() == [
-        "cannot check non-degeneracy: dimension 9 exceeds cap 8"
+        "cannot check invariance: region 0 is not full-dimensional; "
+        "strict system infeasible (2 constraints)"
     ]
 
 

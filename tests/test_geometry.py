@@ -16,39 +16,41 @@ from convexcodes import (
     HalfSpace,
     PolyhedralCover,
     arrangement_cells,
-    boundary_cells,
     check_nondegeneracy,
     closed_interval,
-    closure_cells,
     code_of_cover,
     cover_from_text,
     cover_to_text,
     enumerate_cells,
     feasible,
-    interior_cells,
     open_interval,
-    region_cell_sets,
     sample_code,
-    transform_cover,
     verify_closure_interior_invariance,
 )
 from convexcodes.geometry import (
-    CLOSURE,
-    INTERIOR,
     MixedRelationsError,
-    TransformError,
+    NonFullDimensionalRegionError,
+    _classify,
     _integer_tests,
     _passes,
     _sampled_words,
     canonical_hyperplane,
 )
 from oracles import (
+    LowerDimensional,
+    boundary_cells,
+    closure_cells,
     fraction_feasible,
     fraction_sample_words,
     grid_sign_vectors,
+    interior_cells,
     interval_cover_code,
     plane_sign,
+    reference_invariance,
+    reference_nondegeneracy,
     three_sign_cells,
+    transform_cover,
+    witness_code,
 )
 
 
@@ -264,15 +266,19 @@ def test_ball_rejected_in_exact_mode():
 
 
 def test_transform_examples():
-    cover = interval_cover((0, 2))
-    closed = transform_cover(cover, CLOSURE)
+    # an open interval and an open half-plane keep their codes under closure
+    for cover in (
+        interval_cover((0, 2)),
+        PolyhedralCover(2, (ConvexRegion(2, (halfplane(1, 1, 1, strict=True),)),)),
+    ):
+        inv = verify_closure_interior_invariance(cover)
+        assert inv.code_equal_cl is True and inv.code_equal_int is None
+        cells = arrangement_cells(cover).cells
+        assert reference_invariance(cover, cells) == (True, None)
+    closed = transform_cover(interval_cover((0, 2)), closure=True)
     assert all(not h.strict for h in closed.regions[0].halfspaces)
-    back = transform_cover(closed, INTERIOR)
-    assert back.regions[0] == cover.regions[0]
-    half = PolyhedralCover(
-        2, (ConvexRegion(2, (halfplane(1, 1, 1, strict=True),)),), AMBIENT_WHOLE
-    )
-    assert not transform_cover(half, CLOSURE).regions[0].halfspaces[0].strict
+    inv = verify_closure_interior_invariance(closed)
+    assert inv.code_equal_int is True and inv.code_equal_cl is None
 
 
 def test_transform_rejects_degenerate_region():
@@ -280,9 +286,12 @@ def test_transform_rejects_degenerate_region():
         1, (HalfSpace((F(1),), F(0), False), HalfSpace((F(-1),), F(0), False))
     )
     cover = PolyhedralCover(1, (point,), AMBIENT_WHOLE)
-    with pytest.raises(TransformError) as info:
-        transform_cover(cover, INTERIOR)
-    assert info.value.offenders[0][0] == 0
+    with pytest.raises(NonFullDimensionalRegionError) as info:
+        verify_closure_interior_invariance(cover)
+    assert info.value.region_index == 0
+    with pytest.raises(LowerDimensional) as ref:
+        transform_cover(cover, closure=False)
+    assert ref.value.regions == [0]
 
 
 def test_transform_keeps_empty_regions_empty():
@@ -290,8 +299,9 @@ def test_transform_keeps_empty_regions_empty():
         1, (HalfSpace((F(1),), F(0), True), HalfSpace((F(-1),), F(-1), True))
     )  # x < 0 and x > 1
     cover = PolyhedralCover(1, (empty, open_interval(0, 1)), AMBIENT_WHOLE)
-    closed = transform_cover(cover, CLOSURE)
-    code, _ = code_of_cover(closed)
+    inv = verify_closure_interior_invariance(cover)
+    assert inv.code_equal_cl is True
+    code, _ = code_of_cover(transform_cover(cover, closure=True))
     assert code.words == Code.from_compact(2, "0 2").words
 
 
@@ -363,13 +373,19 @@ def test_closure_identities_on_cell_lattice():
     rng = random.Random(4242)
     for _ in range(25):
         cover = _random_open_cover(rng)
-        per_region, cells = region_cell_sets(cover)
-        union_exact = set().union(*(ex for ex, _, _ in per_region))
-        union_closures = set().union(*(cl for _, cl, _ in per_region))
-        assert closure_cells(union_exact, cells.cells) == union_closures
-        inter_exact = set.intersection(*(ex for ex, _, _ in per_region))
-        inter_interiors = set.intersection(*(inn for _, _, inn in per_region))
-        assert interior_cells(inter_exact, cells.cells) == inter_interiors
+        words = _classify(cover)
+        cells = words.cells
+
+        def region_cells(per_cell):
+            return [
+                {ix for ix, w in enumerate(per_cell) if w >> i & 1} for i in range(cover.n)
+            ]
+
+        exact = region_cells(words.exact)
+        union_closures = set().union(*region_cells(words.closure))
+        assert closure_cells(set().union(*exact), cells) == union_closures
+        inter_interiors = set.intersection(*region_cells(words.interior))
+        assert interior_cells(set.intersection(*exact), cells) == inter_interiors
 
 
 def test_open_cond_ii_implies_cond_i():
@@ -382,6 +398,129 @@ def test_open_cond_ii_implies_cond_i():
             checked += 1
             assert rep.cond_i
     assert checked > 0
+
+
+def _random_region(rng, d, relation, kind):
+    """Half-spaces with coefficients in {-1, 0, 1}, so regions touch, share
+    planes and coincide; a flat region is a zero-width slab and an empty
+    one a pair of opposite half-spaces one unit apart."""
+
+    def normal():
+        while True:
+            a = tuple(F(rng.randint(-1, 1)) for _ in range(d))
+            if any(a):
+                return a
+
+    def strict():
+        return {"open": True, "closed": False}.get(relation, rng.random() < 0.5)
+
+    if kind == "whole":
+        return ConvexRegion(d, ())
+    if kind in ("flat", "empty"):
+        a, b = normal(), F(rng.randint(-1, 1))
+        gap = 1 if kind == "empty" else 0
+        return ConvexRegion(
+            d,
+            (
+                HalfSpace(a, b, strict()),
+                HalfSpace(tuple(-x for x in a), -b - gap, strict()),
+            ),
+        )
+    count = rng.randint(1, 2 if d == 1 else 3 - d // 3)
+    return ConvexRegion(
+        d,
+        tuple(HalfSpace(normal(), F(rng.randint(-1, 1)), strict()) for _ in range(count)),
+    )
+
+
+def _random_differential_cover(rng, d, relation, ambient):
+    kinds = ["random"] * 8 + ["flat", "empty", "whole"]
+    regions = tuple(
+        _random_region(rng, d, relation, rng.choice(kinds)) for _ in range(rng.randint(1, 3))
+    )
+    if ambient == "region":
+        ambient = _random_region(rng, d, "mixed", "random")
+    return PolyhedralCover(d, regions, ambient)
+
+
+def test_cell_classification_matches_is_face_and_transform_oracle():
+    rng = random.Random(20261018)
+    seen = {"refused": 0, "empty": 0, "cond_i": 0, "cond_ii": 0, "changed": 0}
+    for trial in range(216):
+        d = 1 + trial % 3
+        relation = ("open", "closed", "mixed")[trial // 3 % 3]
+        ambient = (AMBIENT_WHOLE, AMBIENT_UNION, "region")[trial // 9 % 3]
+        cover = _random_differential_cover(rng, d, relation, ambient)
+        cells = arrangement_cells(cover)
+        code, _ = code_of_cover(cover, cells)
+        assert code.words == witness_code(cover, cells.cells)
+        seen["empty"] += any(
+            fraction_feasible([(h.normal, h.offset, "<=") for h in r.halfspaces], d) is None
+            for r in cover.regions
+        )
+
+        try:
+            rep = check_nondegeneracy(cover, cells)
+            got = (rep.cond_i, rep.cond_ii, [(o.condition, o.sigma, o.cell.signs) for o in rep.offenders])
+        except NonFullDimensionalRegionError as exc:
+            got = ("refused", exc.region_index)
+        try:
+            want = reference_nondegeneracy(cover, cells.cells)
+        except LowerDimensional as exc:
+            want = ("refused", exc.regions[0])
+        assert got == want, cover
+        seen["refused"] += got[0] == "refused"
+        seen["cond_i"] += got[0] is False
+        seen["cond_ii"] += got[1] is False
+
+        rels = set().union(*(r.all_relations() for r in cover.regions))
+        if rels == {True, False}:
+            with pytest.raises(MixedRelationsError):
+                verify_closure_interior_invariance(cover, cells)
+            continue
+        try:
+            inv = verify_closure_interior_invariance(cover, cells)
+            got = (inv.code_equal_cl, inv.code_equal_int)
+        except NonFullDimensionalRegionError as exc:
+            got = ("refused", exc.region_index)
+        try:
+            want = reference_invariance(cover, cells.cells)
+        except LowerDimensional as exc:
+            want = ("refused", exc.regions[0])
+        assert got == want, cover
+        seen["changed"] += False in got
+    assert all(seen.values()), seen
+
+
+def test_nondegeneracy_and_invariance_make_no_feasibility_call(monkeypatch):
+    import convexcodes.geometry as geometry
+
+    point = ConvexRegion(
+        1, (HalfSpace((F(1),), F(0), False), HalfSpace((F(-1),), F(0), False))
+    )
+    covers = [
+        interval_cover((0, 2), (2, 3)),
+        interval_cover((0, 2), (1, 3), closed=True, ambient=AMBIENT_UNION),
+        PolyhedralCover(1, (closed_interval(0, 1), point)),
+        PolyhedralCover(
+            2,
+            (
+                ConvexRegion(2, (halfplane(-1, 0, 0), halfplane(0, -1, 0))),
+                ConvexRegion(2, (halfplane(1, 1, 3), halfplane(1, -1, 1))),
+            ),
+        ),
+    ]
+    calls = []
+    for cover in covers:
+        cells = arrangement_cells(cover)
+        monkeypatch.setattr(geometry, "feasible", lambda *a, **k: calls.append(a))
+        for check in (check_nondegeneracy, verify_closure_interior_invariance):
+            try:
+                check(cover, cells)
+            except NonFullDimensionalRegionError:
+                pass
+        monkeypatch.undo()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +661,8 @@ def test_arrangement_reuse_matches_fresh_run():
 
 def test_boundary_cells_of_interval():
     cover = interval_cover((0, 1))
-    per_region, cells = region_cell_sets(cover)
-    exact, closed, inner = per_region[0]
-    bd = boundary_cells(exact, cells.cells)
-    assert bd == closed - inner
+    words = _classify(cover)
+    exact = {ix for ix, w in enumerate(words.exact) if w}
+    bd = boundary_cells(exact, words.cells)
+    assert bd == {ix for ix, (c, i) in enumerate(zip(words.closure, words.interior)) if c & ~i}
     assert len(bd) == 2  # the two endpoints

@@ -6,18 +6,13 @@ import pytest
 from convexcodes import (
     AMBIENT_UNION,
     AMBIENT_WHOLE,
-    Ball,
-    ChordCutError,
     Code,
-    ConvexRegion,
-    HalfSpace,
     MonotoneExtendError,
     NotApplicable,
     PolyhedralCover,
     abstract_code,
     abstract_from_cover,
     check_nondegeneracy,
-    chord_cut,
     code_of_cover,
     finite_realization,
     intersection_completion,
@@ -29,7 +24,6 @@ from convexcodes import (
     potential_cover,
     realize,
     replay_certificate,
-    sample_code,
     simplicial_complex,
     verify_closure_interior_invariance,
     word_mask,
@@ -240,56 +234,6 @@ def test_abstract_from_cover_nested_intervals():
     )
     abstract = abstract_from_cover(cover)
     assert abstract_code(abstract).words == compact(3, "0 1 12 123").words
-
-
-# ---------------------------------------------------------------------------
-# chord cutter (sampled geometric twin)
-
-
-def _slab(width, n_dims=2):
-    # |x| < width as a vertical slab in the plane
-    return ConvexRegion(
-        n_dims,
-        (
-            HalfSpace((F(1), F(0)), F(width), True),
-            HalfSpace((F(-1), F(0)), F(width), True),
-        ),
-    )
-
-
-def test_chord_cut_rejects_empty_sigma():
-    cover = PolyhedralCover(2, (_slab(1), _slab(1)), AMBIENT_UNION)
-    with pytest.raises(ChordCutError):
-        chord_cut(cover, Ball((F(0), F(0)), F(2), True), 0, word_mask([1, 2]))
-
-
-def test_chord_cut_rejects_non_subset():
-    cover = PolyhedralCover(2, (_slab(1), _slab(1)), AMBIENT_UNION)
-    with pytest.raises(ChordCutError):
-        chord_cut(cover, Ball((F(0), F(0)), F(2), True), word_mask([1, 2]), word_mask([1, 2]))
-
-
-def test_chord_cut_adds_word_to_pair_code():
-    # both sets equal: code {12}; cutting with sigma0 = {1} yields {12, 1}
-    cover = PolyhedralCover(2, (_slab(1), _slab(1)), AMBIENT_UNION)
-    ball = Ball((F(0), F(0)), F(2), True)
-    out = chord_cut(cover, ball, word_mask([1]), word_mask([1, 2]), budget=8000)
-    rep = sample_code(out, budget=8000, seed=23)
-    assert rep.code.words == compact(2, "12 1").words
-
-
-def test_chord_cut_matches_abstract_prediction():
-    # nested slabs realize {123, 12}; sigma0 = {1} must appear after the cut
-    cover = PolyhedralCover(2, (_slab(2), _slab(2), _slab(1)), AMBIENT_UNION)
-    base, _ = code_of_cover(cover)
-    assert base.words == compact(3, "123 12").words
-    ball = Ball((F(0), F(0)), F(3), True)
-    out = chord_cut(cover, ball, word_mask([1]), word_mask([1, 2, 3]), budget=8000)
-    rep = sample_code(out, budget=8000, seed=29)
-    predicted = monotone_extend(
-        finite_realization(base), compact(3, "123 12 1")
-    )
-    assert rep.code.words == abstract_code(predicted).words
 
 
 # ---------------------------------------------------------------------------
