@@ -55,7 +55,11 @@ EXIT_CAPABILITY = 3
 
 def _load_code(path: str) -> Code:
     text = Path(path).read_text()
-    return code_from_text(text)
+    code = code_from_text(text)
+    if not code.words:
+        # an empty Code is a library value, but no subcommand has words to read
+        raise CodeParseError(max(1, len(text.splitlines())), "code has no codewords")
+    return code
 
 
 def _profile_json(profile) -> dict:

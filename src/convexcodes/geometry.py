@@ -406,9 +406,7 @@ def canonical_hyperplane(normal: Vec, offset: Fraction) -> tuple[tuple[Vec, Frac
 
 
 def enumerate_cells(
-    hyperplanes: Sequence[tuple[Sequence, object]],
-    dimension: int,
-    max_hyperplanes: int = HYPERPLANE_CAP,
+    hyperplanes: Sequence[tuple[Sequence, object]], dimension: int
 ) -> CellComplex:
     """All feasible sign vectors of an arrangement, each with a witness.
 
@@ -429,9 +427,9 @@ def enumerate_cells(
     ]
     if len(set(planes)) != len(planes):
         raise ValueError("hyperplane list contains duplicates")
-    if len(planes) > max_hyperplanes:
+    if len(planes) > HYPERPLANE_CAP:
         raise HyperplaneBudgetError(
-            f"{len(planes)} hyperplanes exceed the cap of {max_hyperplanes}"
+            f"{len(planes)} hyperplanes exceed the cap of {HYPERPLANE_CAP}"
         )
     cap = max(dimension, DIMENSION_CAP)
     rows = [_int_row(v, b) for v, b in planes]
@@ -540,10 +538,10 @@ def _compile(cover: PolyhedralCover) -> _Compiled:
     return _Compiled(planes, tuple(masks), ambient)
 
 
-def arrangement_cells(cover: PolyhedralCover, max_hyperplanes: int = HYPERPLANE_CAP) -> CellComplex:
+def arrangement_cells(cover: PolyhedralCover) -> CellComplex:
     """The cell complex of all hyperplanes appearing in the cover."""
     comp = _compile(cover)
-    return enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
+    return enumerate_cells(comp.planes, cover.dimension)
 
 
 @dataclass(frozen=True)
@@ -588,16 +586,12 @@ class _CellWords:
             raise NonFullDimensionalRegionError(i, strict)
 
 
-def _classify(
-    cover: PolyhedralCover,
-    cells: CellComplex | None = None,
-    max_hyperplanes: int = HYPERPLANE_CAP,
-) -> _CellWords:
+def _classify(cover: PolyhedralCover, cells: CellComplex | None = None) -> _CellWords:
     """Each cell's sign vector as negative, positive and zero plane masks,
     tested against every region's masks in one pass."""
     comp = _compile(cover)
     if cells is None:
-        cells = enumerate_cells(comp.planes, cover.dimension, max_hyperplanes)
+        cells = enumerate_cells(comp.planes, cover.dimension)
     elif cells.hyperplanes != comp.planes:
         raise ValueError("supplied cells were built from a different arrangement")
     exact, closure, interior, in_ambient = [], [], [], []
@@ -642,16 +636,14 @@ def _classify(
 
 
 def code_of_cover(
-    cover: PolyhedralCover,
-    cells: CellComplex | None = None,
-    max_hyperplanes: int = HYPERPLANE_CAP,
+    cover: PolyhedralCover, cells: CellComplex | None = None
 ) -> tuple[Code, dict[int, tuple[Cell, ...]]]:
     """The exact code of a polyhedral cover, plus the cells of each codeword.
 
     Every half-space boundary joins one arrangement, so membership of a
     whole cell in a region is read off the cell's sign vector.
     """
-    words = _classify(cover, cells, max_hyperplanes)
+    words = _classify(cover, cells)
     atlas = {
         w: tuple(replace(words.cells[ix], codeword=w) for ix in ixs)
         for w, ixs in words.atlas(words.exact).items()
@@ -678,9 +670,7 @@ class NondegeneracyReport:
 
 
 def check_nondegeneracy(
-    cover: PolyhedralCover,
-    cells: CellComplex | None = None,
-    max_hyperplanes: int = HYPERPLANE_CAP,
+    cover: PolyhedralCover, cells: CellComplex | None = None
 ) -> NondegeneracyReport:
     """Check both non-degeneracy conditions on the cell lattice.
 
@@ -692,7 +682,7 @@ def check_nondegeneracy(
     Atoms are taken over the whole space regardless of the cover's ambient
     mode.  A lower-dimensional region is refused.
     """
-    words = _classify(cover, cells, max_hyperplanes)
+    words = _classify(cover, cells)
     words.refuse_lower_dimensional(cover)
     all_cells = words.cells
 

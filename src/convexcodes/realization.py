@@ -6,6 +6,12 @@ that adds missing non-maximal words to an abstract cover one fresh point
 at a time, and the potential cover whose code is the intersection
 completion of the input.  Each construction emits a certificate holding
 the target code, the achieved code, and a replayable realization.
+
+The chamber cover's half-space regions are certified for every number k
+of maximal words without enumerating an arrangement: each half-space is
+read at the k vertices of a simplex, which names the facet whose open
+side it is, and each region must be cut by exactly the facets its neuron
+misses.  That makes the half-space code the abstract chamber code.
 """
 
 from __future__ import annotations
@@ -36,11 +42,7 @@ from .geometry import (
     PolyhedralCover,
     Vec,
     code_of_cover,
-    dot,
-    enumerate_cells,
 )
-
-GEOMETRIC_CHECK_CAP = 4  # verify the half-space cover whenever k stays this small
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,9 @@ class CheckRecord:
     name: str
     passed: bool
     detail: str = ""
-    skipped: bool = False  # not run; neither passed nor failed
 
     @property
     def status(self) -> str:
-        if self.skipped:
-            return "skipped"
         return "pass" if self.passed else "FAIL"
 
 
@@ -70,9 +69,9 @@ class RealizationCertificate:
 
     @property
     def valid(self) -> bool:
-        """The achieved code is the target and no check that ran failed."""
+        """The achieved code is the target and every check passed."""
         return self.achieved.words == self.target.words and all(
-            c.passed or c.skipped for c in self.checks
+            c.passed for c in self.checks
         )
 
 
@@ -111,49 +110,15 @@ class ChamberRealization:
     achieved_union: Code
 
 
-def _simplex_planes(k: int) -> list[tuple[Vec, Fraction]]:
-    """Facet hyperplanes of the rational simplex conv{0, e_1, ..., e_{k-1}}.
-
-    Plane a < k is {x_a = 0} with the vertex side x_a >= 0; plane k is
-    {sum x = 1} with the vertex side sum x <= 1.
-    """
-    d = k - 1
-    planes: list[tuple[Vec, Fraction]] = []
-    for a in range(1, k):
-        normal = tuple(Fraction(1 if j == a - 1 else 0) for j in range(d))
-        planes.append((normal, Fraction(0)))
-    planes.append((tuple(Fraction(1) for _ in range(d)), Fraction(1)))
-    return planes
-
-
-def _vertex_side(a: int, k: int) -> int:
-    # sign of (plane normal . x - offset) on the closed side holding vertex a
-    return 1 if a < k else -1
-
-
-def _chamber_of(x: Vec, planes, k: int) -> int:
-    """The mask of closed sides containing x, one bit per plane."""
-    rho = 0
-    for a in range(1, k + 1):
-        v, b = planes[a - 1]
-        s = dot(v, x) - b
-        side = _vertex_side(a, k)
-        if s == 0 or ((s > 0) - (s < 0)) == side:
-            rho |= 1 << (a - 1)
-    return rho
-
-
 def max_int_realization(
-    code: Code,
-    ambient: str = AMBIENT_UNION,
-    geometric_check_cap: int = GEOMETRIC_CHECK_CAP,
+    code: Code, ambient: str = AMBIENT_UNION
 ) -> tuple[ChamberRealization, RealizationCertificate]:
     """Realize the intersection completion of the maximal words of a code.
 
     Fewer than three maximal words get padded with empty ones so the
     half-space construction lives in R^{max(2, k-1)}.  The abstract chamber
-    cover is the exactness carrier; the geometric cover is cross-checked
-    against it whenever k stays within `geometric_check_cap`.
+    cover is the exactness carrier; the half-space cover is certified to
+    have the same code by `_simplex_sides`, for every k.
     """
     if ambient not in (AMBIENT_WHOLE, AMBIENT_UNION):
         raise ValueError(f"ambient must be whole or union, got {ambient!r}")
@@ -178,14 +143,10 @@ def max_int_realization(
     achieved_whole = abstract_code(abstract)
     achieved_union = Code(code.n, achieved_whole.words - {0})
 
-    planes = _simplex_planes(k)
-    # the open side of plane a away from vertex a, shared by every set that omits a
-    away = []
-    for a, (v, b) in enumerate(planes, start=1):
-        if _vertex_side(a, k) > 0:
-            away.append(HalfSpace(v, b, True))  # strictly below the vertex side
-        else:
-            away.append(HalfSpace(tuple(-c for c in v), -b, True))
+    # facet a's open side away from vertex a, {lambda_a < 0}, shared by every
+    # set that omits a: x_a < 0 for a < k, and sum x > 1 for a = k
+    away = [HalfSpace(tuple(int(j == a) for j in range(d)), 0, True) for a in range(d)]
+    away.append(HalfSpace((-1,) * d, -1, True))
     regions = tuple(
         ConvexRegion(
             d, tuple(h for a, h in enumerate(away) if not rho[i] & (1 << a))
@@ -208,26 +169,19 @@ def max_int_realization(
         cert_cover = AbstractCover(code.n, points, membership, covered)
     target = Code(code.n, frozenset(target_words))
 
+    problem = _simplex_sides(geometric, rho, k, ambient)
     checks = [
         CheckRecord(
             "abstract-chamber-code",
             achieved.words == target.words,
             f"achieved {len(achieved)} words",
-        )
+        ),
+        CheckRecord(
+            "geometric-agreement",
+            problem is None,
+            problem or f"{code.n} regions cut by sides of the {k} simplex facets",
+        ),
     ]
-    if k <= geometric_check_cap:
-        checks.extend(
-            _geometric_checks(geometric, achieved_whole, planes, words, k, ambient)
-        )
-    else:
-        checks.append(
-            CheckRecord(
-                "geometric-agreement",
-                False,
-                f"k={k} above cap {geometric_check_cap}",
-                skipped=True,
-            )
-        )
 
     cert = RealizationCertificate(
         target=target,
@@ -252,53 +206,58 @@ def max_int_realization(
     return realization, cert
 
 
-def _geometric_checks(geometric, achieved_whole, planes, words, k, ambient):
-    """Cross-check the half-space cover against the abstract chamber cover."""
-    checks = []
-    geo_code, _ = code_of_cover(geometric)
-    expected = achieved_whole.words
-    if ambient == AMBIENT_UNION:
-        expected = expected - {0}
-    checks.append(
-        CheckRecord(
-            "geometric-agreement",
-            geo_code.words == expected,
-            f"code_of_cover gives {len(geo_code)} words",
-        )
-    )
-    # refine by every simplex plane so each chamber is a union of cells
-    cells = enumerate_cells(planes, k - 1)
-    seen_chambers: set[int] = set()
-    per_cell_ok = True
-    for cell in cells.cells:
-        chamber = _chamber_of(cell.witness, planes, k)
-        seen_chambers.add(chamber)
-        expected_word = _intersect_words(words, chamber)
-        actual = 0
-        for i, region in enumerate(geometric.regions):
-            if region.contains(cell.witness):
-                actual |= 1 << i
-        if actual != expected_word:
-            per_cell_ok = False
-    checks.append(
-        CheckRecord("cell-for-codeword", per_cell_ok, f"{len(cells.cells)} cells")
-    )
-    checks.append(
-        CheckRecord(
-            "chamber-coverage",
-            seen_chambers == set(range(1, 1 << k)),
-            f"{len(seen_chambers)} of {(1 << k) - 1} chambers hit",
-        )
-    )
-    return checks
+def _simplex_sides(
+    geometric: PolyhedralCover, rho: Mapping[int, int], k: int, ambient: str
+) -> str | None:
+    """Why the half-space cover is not the chamber cover of rho, or None.
+
+    The barycentric coordinates of conv{e_1, ..., e_{k-1}, 0} are
+    lambda_a = x_a for a < k and lambda_k = 1 - sum x.  The chamber
+    S(x) = {a : lambda_a(x) >= 0} of a point is never empty, and every
+    non-empty S is the chamber of some point.  A strict side {v.x < b}
+    whose v.x - b vanishes at every vertex but vertex a, and is positive
+    there, is {lambda_a < 0}.  A region cut by exactly these sides for the
+    facets outside rho(i) is {x : S(x) <= rho(i)}, so the cover's code is
+    the code of the abstract chamber cover.  Each half-space object is
+    evaluated once.
+    """
+    if geometric.dimension != k - 1 or geometric.n != len(rho):
+        return f"expected {len(rho)} regions in R^{k - 1}"
+    if geometric.ambient != ambient:
+        return f"ambient is not {ambient}"
+    facet_of: dict[int, int | None] = {}  # id of a half-space -> its facet bit
+    full = (1 << k) - 1
+    for i, region in enumerate(geometric.regions, start=1):
+        if region.ball is not None:
+            return f"region {i} carries a ball"
+        cut = 0
+        for h in region.halfspaces:
+            if id(h) not in facet_of:
+                facet_of[id(h)] = _facet_side(h)
+            a = facet_of[id(h)]
+            if a is None:
+                return f"region {i} has a half-space that is no facet's open side"
+            cut |= 1 << a
+        if cut != full & ~rho[i]:
+            return f"region {i} is not cut by the facets outside rho({i})"
+    return None
 
 
-def _intersect_words(words: tuple[int, ...], chamber: int) -> int:
-    out = None
-    for a, w in enumerate(words, start=1):
-        if chamber & (1 << (a - 1)):
-            out = w if out is None else out & w
-    return 0 if out is None else out
+def _facet_side(h: HalfSpace) -> int | None:
+    """The bit a - 1 of the facet a with h = {lambda_a < 0}, or None.
+
+    v.x - b is read at the vertices e_1, ..., e_{k-1} and the origin; it
+    is a positive multiple of lambda_a when it vanishes at every vertex
+    but vertex a and is positive there.
+    """
+    if not h.strict:
+        return None
+    values = [c - h.offset for c in h.normal]
+    values.append(-h.offset)
+    nonzero = [a for a, value in enumerate(values) if value]
+    if len(nonzero) != 1 or values[nonzero[0]] < 0:
+        return None
+    return nonzero[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +288,14 @@ def monotone_extend(cover: AbstractCover, target: Code) -> AbstractCover:
             missing_base[0],
         )
     complex_ = simplicial_complex(base)
-    faces = complex_.faces()
     for w in sorted(target.words, key=word_key):
-        if w not in faces:
+        if not complex_.has_face(w):
             raise MonotoneExtendError(
                 f"target word {word_label(w, base.n)} is not a face of the complex",
                 w,
             )
-    maxima = maximal_codewords(base)
-    assert maximal_codewords(target) == maxima
+    # base <= target <= faces of base: both codes have the same maxima
+    maxima = complex_.facets
 
     points = list(cover.points)
     membership = {i: set(s) for i, s in cover.membership.items()}
@@ -500,11 +458,7 @@ def _potential_word(point: Vec, vertex_sets: Mapping[int, set[int]]) -> int | No
 # end-to-end pipeline
 
 
-def realize(
-    code: Code,
-    ambient: str | None = None,
-    geometric_check_cap: int = GEOMETRIC_CHECK_CAP,
-):
+def realize(code: Code, ambient: str | None = None):
     """Realize a max intersection-complete code exactly; the certificate
     records dimension max(2, k-1).
 
@@ -519,9 +473,7 @@ def realize(
         return _missing_intersection(code, maxima, completion)
     if ambient is None:
         ambient = AMBIENT_WHOLE if 0 in code.words else AMBIENT_UNION
-    realz, cert = max_int_realization(
-        code, ambient, geometric_check_cap=geometric_check_cap
-    )
+    realz, cert = max_int_realization(code, ambient)
     base_code = cert.achieved
     if base_code.words == code.words:
         method, cover, achieved = "chamber", cert.cover, base_code

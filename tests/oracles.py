@@ -486,3 +486,73 @@ def reference_invariance(cover, cells):
     closure = not weak
     same = witness_code(cover, cells) == witness_code(transform_cover(cover, closure), cells)
     return (same, None) if closure else (None, same)
+
+
+# ---------------------------------------------------------------------------
+# The chamber cover's half-space regions checked the first way: the cover's
+# code from its own arrangement, then every cell of the simplex arrangement
+# (about 3^k of them) tested against every region.  The reference the
+# facet-side certificate is checked against.
+
+
+def simplex_planes(k: int):
+    """Facet planes of conv{e_1, ..., e_{k-1}, 0}: x_a = 0 for a < k, sum x = 1."""
+    d = k - 1
+    planes = [
+        (tuple(Fraction(int(j == a)) for j in range(d)), Fraction(0)) for a in range(d)
+    ]
+    planes.append((tuple(Fraction(1) for _ in range(d)), Fraction(1)))
+    return planes
+
+
+def chamber_of(x, k: int) -> int:
+    """{a : lambda_a(x) >= 0} as a mask over [k]: the closed facet sides holding x."""
+    lam = list(x) + [1 - sum(x, Fraction(0))]
+    assert len(lam) == k
+    return sum(1 << a for a, t in enumerate(lam) if t >= 0)
+
+
+def _intersect_words(words, chamber: int) -> int:
+    out = None
+    for a, w in enumerate(words):
+        if chamber >> a & 1:
+            out = w if out is None else out & w
+    return 0 if out is None else out
+
+
+def _cover_planes(cover):
+    """The distinct boundary planes of a cover, scaled to a leading 1."""
+    out = []
+    for r in cover.regions:
+        for h in r.halfspaces:
+            lead = next(c for c in h.normal if c)
+            plane = (tuple(c / lead for c in h.normal), h.offset / lead)
+            if plane not in out:
+                out.append(plane)
+    return out
+
+
+def brute_chamber_checks(geometric, words, ambient) -> dict[str, bool]:
+    """geometric-agreement, cell-for-codeword and chamber-coverage of the
+    chamber cover of the padded maximal words, by brute force."""
+    k = len(words)
+    expected = {_intersect_words(words, s) for s in range(1, 1 << k)}
+    if ambient == "union":
+        expected.discard(0)
+    code = set()
+    for _, x in three_sign_cells(_cover_planes(geometric), geometric.dimension):
+        w = sum(1 << i for i, r in enumerate(geometric.regions) if r.contains(x))
+        if geometric.ambient == "whole" or w:
+            code.add(w)
+    per_cell_ok = True
+    seen = set()
+    for _, x in three_sign_cells(simplex_planes(k), k - 1):
+        chamber = chamber_of(x, k)
+        seen.add(chamber)
+        w = sum(1 << i for i, r in enumerate(geometric.regions) if r.contains(x))
+        per_cell_ok &= w == _intersect_words(words, chamber)
+    return {
+        "geometric-agreement": code == expected,
+        "cell-for-codeword": per_cell_ok,
+        "chamber-coverage": seen == set(range(1, 1 << k)),
+    }

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from convexcodes import Code, classify_completeness, code_to_text, cover_to_text
 from convexcodes.cli import analysis_report, main
@@ -78,6 +79,43 @@ def test_analyze_empty_file_exit_2(tmp_path, capsys):
     path.write_text("")
     assert main(["analyze", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_code_without_codewords_exit_2(tmp_path, capsys):
+    path = tmp_path / "bare.code"
+    path.write_text("n=3\n# nothing fires\n")
+    for argv in (["analyze"], ["realize"], ["realize", "--method", "potential"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: line 2: code has no codewords\n"
+        assert captured.out == ""
+
+
+CODE_LINES = st.one_of(
+    st.just(""),
+    st.just("# comment"),
+    st.just("0"),
+    st.lists(st.integers(-1, 7), min_size=1, max_size=4).map(
+        lambda idx: " ".join(map(str, idx))  # indices out of range included
+    ),
+    st.sampled_from(["x", "1 two", "n=4", "1.5", "0 0"]),
+)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.integers(1, 6), st.lists(CODE_LINES, max_size=6))
+def test_analyze_any_code_text_exits_0_or_2(tmp_path, capsys, n, body):
+    path = tmp_path / "fuzz.code"
+    path.write_text("\n".join([f"n={n}", *body]) + "\n")
+    status = main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert status in (0, 2)
+    assert (status == 2) == err.startswith("parse error: ")
 
 
 def test_analyze_bad_line_reports_line_number(tmp_path, capsys):
@@ -214,9 +252,28 @@ def test_cover_code_parse_error(tmp_path, capsys):
 def test_verify_paper_list(capsys):
     assert main(["verify-paper", "--list"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "criterion-1-local-fixtures" in out
-    assert "criterion-9-homology-unit-bar" in out
-    assert len(out) > 20
+    assert out == [
+        "simplicial-complex-of-fig-cover",
+        "maximal-words-five-neuron",
+        "link-at-12",
+        "covering-subsets",
+        "finite-realization-roundtrip",
+        "closed-split-line",
+        "nested-intervals",
+        "chamber-two-maximal-words",
+        "chamber-six-neuron",
+        "potential-cover-three-words",
+        "realize-max-complete",
+        "criterion-1-local-fixtures",
+        "criterion-2-nonlocal-fixture",
+        "criterion-3-counterexample-codes",
+        "criterion-4-chamber-roundtrip",
+        "criterion-5-realize-roundtrip",
+        "criterion-6-monotonicity",
+        "criterion-7-potential-cover",
+        "criterion-8-geometry-unit-bar",
+        "criterion-9-homology-unit-bar",
+    ]
 
 
 def test_verify_paper_flags_corrupted_row(monkeypatch, capsys):
@@ -256,24 +313,26 @@ def test_realize_builds_one_chamber_cover(tmp_path, capsys, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(realization, name, counted(name))
-    # the completion of its maximal words: no monotone extension, and k = 3
-    # stays within the geometric check's cap
+    # the completion of its maximal words: no monotone extension
     path = write_code(tmp_path, "c.code", 4, "123 134 13")
     out_dir = tmp_path / "bundle"
     assert main(["realize", path, "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
-    assert "method: chamber\n" in out and "check cell-for-codeword: pass" in out
+    assert "method: chamber\n" in out and "check geometric-agreement: pass" in out
     assert (out_dir / "cover.txt").exists()
     assert calls["max_int_realization"] == 1
     assert calls["abstract_code"] <= 2  # the chamber code and the replay
 
 
-def test_realize_reports_skipped_geometric_check(tmp_path, capsys):
-    # five disjoint pairs: k = 5 maximal words, above the cap of 4
+def test_realize_checks_geometry_of_five_pairs(tmp_path, capsys):
+    # five disjoint pairs: k = 5 maximal words, once above the old cap of 4
     path = tmp_path / "pairs.code"
     path.write_text("n=10\n0\n1 2\n3 4\n5 6\n7 8\n9 10\n")
     assert main(["realize", str(path), "--out", str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
-    assert "check geometric-agreement: skipped k=5 above cap 4\n" in out
-    assert "valid: true\n" in out
+    assert (
+        "check geometric-agreement: pass 10 regions cut by sides of the 5 simplex facets\n"
+        in out
+    )
+    assert "skipped" not in out and "valid: true\n" in out
     assert (tmp_path / "b" / "certificate.txt").read_text() == out

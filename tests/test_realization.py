@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -28,9 +29,12 @@ from convexcodes import (
     verify_closure_interior_invariance,
     word_mask,
 )
+import convexcodes.realization as realization
+from convexcodes import Ball, ConvexRegion, HalfSpace
 from convexcodes.cli import _abstract_cover_text
-from convexcodes.realization import CheckRecord, _potential_word
+from convexcodes.realization import CheckRecord, _potential_word, _simplex_sides
 from oracles import (
+    brute_chamber_checks,
     brute_completion,
     chamber_membership_by_filter,
     pointwise_abstract_words,
@@ -64,12 +68,14 @@ def test_chamber_single_word():
 
 def test_chamber_six_neuron_maximal_words():
     c = compact(6, "123 126 156 456 345 234 12 16 56 45 34 23 0")
-    realz, cert = max_int_realization(c, AMBIENT_WHOLE, geometric_check_cap=6)
+    realz, cert = max_int_realization(c, AMBIENT_WHOLE)
     oracle = brute_completion(maximal_codewords(c))
     assert realz.achieved_whole.words == frozenset(oracle)
     assert 0 in realz.achieved_whole.words  # 123 and 456 are disjoint
-    assert cert.valid  # includes the geometric cross-check at k = 6
+    assert cert.valid  # includes the facet-side check of the half-space cover
     assert cert.dimension == 5
+    geo_code, _ = code_of_cover(realz.geometric)
+    assert geo_code.words == frozenset(oracle)
 
 
 def test_chamber_rho_matches_definition():
@@ -137,7 +143,7 @@ def test_chamber_membership_and_bundle_match_references():
         n = rng.randint(2, 9)
         c = Code(n, frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 10))))
         ambient = (AMBIENT_WHOLE, AMBIENT_UNION)[trial % 2]
-        realz, cert = max_int_realization(c, ambient, geometric_check_cap=0)
+        realz, cert = max_int_realization(c, ambient)
         if realz.k > 8:
             continue
         seen_k.add(realz.k)
@@ -151,23 +157,133 @@ def test_chamber_membership_and_bundle_match_references():
     assert len(seen_k) >= 4
 
 
-def test_geometric_check_above_cap_is_skipped_not_passed():
-    c = compact(4, "12 23 34 14")  # k = 4 maximal words
-    _, checked = max_int_realization(c, AMBIENT_UNION)
-    record = {r.name: r for r in checked.checks}["geometric-agreement"]
-    assert record.passed and not record.skipped and record.status == "pass"
-    _, cert = max_int_realization(c, AMBIENT_UNION, geometric_check_cap=3)
-    record = {r.name: r for r in cert.checks}["geometric-agreement"]
-    assert record.skipped and not record.passed
-    assert record.status == "skipped" and record.detail == "k=4 above cap 3"
-    assert "cell-for-codeword" not in {r.name for r in cert.checks}
-    # a skipped check is not a failed one
-    assert cert.valid and checked.valid
+def test_geometric_check_runs_for_every_k():
+    # disjoint pairs: k maximal words, far beyond any cell enumeration
+    for k in (3, 4, 8, 16):
+        c = Code.from_words(2 * k, [(2 * a - 1, 2 * a) for a in range(1, k + 1)])
+        realz, cert = max_int_realization(c, AMBIENT_UNION)
+        record = {r.name: r for r in cert.checks}["geometric-agreement"]
+        assert realz.k == k and record.passed and record.status == "pass"
+        assert record.detail == f"{2 * k} regions cut by sides of the {k} simplex facets"
+        assert [r.name for r in cert.checks] == [
+            "abstract-chamber-code",
+            "geometric-agreement",
+        ]
+        assert cert.valid
     failed = RealizationCertificate(
         cert.target, cert.achieved, cert.method, cert.dimension, cert.ambient,
         cert.checks + (CheckRecord("extra", False),),
     )
-    assert not failed.valid
+    assert failed.checks[-1].status == "FAIL" and not failed.valid
+
+
+def _side(a, k):
+    """The open side {lambda_a < 0} of simplex facet a (0-based) in R^(k-1)."""
+    d = k - 1
+    if a < d:
+        return HalfSpace(tuple(F(int(j == a)) for j in range(d)), 0, True)
+    return HalfSpace((F(-1),) * d, -1, True)
+
+
+def _mutate(cover, kind, rng):
+    """One defect of the given kind in a chamber cover, the cover with one
+    half-space rescaled, or None when the cover has no place for the defect."""
+    k = cover.dimension + 1
+    regions = list(cover.regions)
+    # a region with a side to change, and for wrong-facet a facet it misses
+    room = [
+        i
+        for i, r in enumerate(regions)
+        if r.halfspaces and (kind != "wrong-facet" or len(set(r.halfspaces)) < k)
+    ]
+    if kind == "swapped":
+        room = [i for i in room if any(r.halfspaces != regions[i].halfspaces for r in regions)]
+    if not room:
+        return None
+    i = rng.choice(room)
+    hs = list(regions[i].halfspaces)
+    j = rng.randrange(len(hs))
+    h = hs[j]
+    if kind == "swapped":
+        m = rng.choice([m for m, r in enumerate(regions) if r.halfspaces != tuple(hs)])
+        regions[i], regions[m] = regions[m], regions[i]
+        return type(cover)(cover.dimension, tuple(regions), cover.ambient)
+    if kind == "lost-region":
+        return type(cover)(cover.dimension, tuple(regions[:-1]), cover.ambient)
+    if kind == "ambient":
+        other = AMBIENT_UNION if cover.ambient == AMBIENT_WHOLE else AMBIENT_WHOLE
+        return type(cover)(cover.dimension, tuple(regions), other)
+    ball = None
+    if kind == "ball":
+        ball = Ball((0,) * cover.dimension, 1, True)
+    if kind == "weak":
+        hs[j] = HalfSpace(h.normal, h.offset, False)
+    elif kind == "flipped":
+        hs[j] = HalfSpace(tuple(-c for c in h.normal), -h.offset, True)
+    elif kind == "dropped":
+        del hs[j]
+    elif kind == "shifted":
+        hs[j] = HalfSpace(h.normal, h.offset + rng.choice((-1, 1)), True)
+    elif kind == "wrong-facet":
+        hs[j] = rng.choice([_side(a, k) for a in range(k) if _side(a, k) not in hs])
+    elif kind == "rescaled":
+        t = F(rng.randint(1, 9), rng.randint(1, 9))
+        hs[j] = HalfSpace(tuple(t * c for c in h.normal), t * h.offset, True)
+    regions[i] = ConvexRegion(cover.dimension, tuple(hs), ball)
+    return type(cover)(cover.dimension, tuple(regions), cover.ambient)
+
+
+DEFECTS = ("weak", "flipped", "dropped", "shifted", "wrong-facet", "swapped")
+
+
+def test_geometric_check_rejects_every_defect(monkeypatch):
+    # k = 4 with every neuron in two maximal words: each region has two
+    # facet sides and a free facet to swap in, and no two regions agree
+    c = compact(4, "12 23 34 14")
+    built = PolyhedralCover
+    for kind in DEFECTS + ("lost-region", "ambient", "ball", "rescaled"):
+        for seed in range(8):
+            rng = random.Random(seed)
+            monkeypatch.setattr(
+                realization,
+                "PolyhedralCover",
+                lambda *args: _mutate(built(*args), kind, rng),
+            )
+            realz, cert = max_int_realization(c, AMBIENT_UNION)
+            record = {r.name: r for r in cert.checks}["geometric-agreement"]
+            problem = _simplex_sides(realz.geometric, realz.rho, realz.k, AMBIENT_UNION)
+            assert record.passed == (problem is None) == (kind == "rescaled"), kind
+            assert cert.valid == (kind == "rescaled")
+            assert record.detail == (problem or "4 regions cut by sides of the 4 simplex facets")
+
+
+def test_geometric_check_matches_brute_force():
+    # the facet-side check against cell enumeration: both pass on every
+    # chamber cover, and a mutant the check accepts has the right code
+    rng = random.Random(5150)
+    ks, rejected_by_oracle = set(), 0
+    for trial in range(60):
+        k = 5 if trial % 10 == 0 else rng.randint(1, 4)
+        n = rng.randint(4, 7)
+        # distinct words of one size are the maximal words
+        half = [word_mask(s) for s in combinations(range(1, n + 1), n // 2)]
+        c = Code(n, frozenset(rng.sample(half, k)))
+        ambient = (AMBIENT_WHOLE, AMBIENT_UNION)[trial % 2]
+        realz, cert = max_int_realization(c, ambient)
+        ks.add(realz.k)
+        oracle = brute_chamber_checks(realz.geometric, realz.padded_words, ambient)
+        assert all(oracle.values()) and cert.valid
+        kind = (DEFECTS + ("rescaled",))[trial % 7]
+        mutant = _mutate(realz.geometric, kind, rng)
+        if realz.k == 5 or mutant is None:
+            continue
+        accepted = _simplex_sides(mutant, realz.rho, realz.k, ambient) is None
+        oracle = brute_chamber_checks(mutant, realz.padded_words, ambient)
+        assert accepted == (kind == "rescaled"), kind
+        if accepted:
+            assert all(oracle.values())
+        rejected_by_oracle += not all(oracle.values())
+    assert ks == {3, 4, 5} and rejected_by_oracle >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +325,23 @@ def test_monotone_rejects_dropped_word():
     cover = finite_realization(compact(3, "12 1"))
     with pytest.raises(MonotoneExtendError):
         monotone_extend(cover, compact(3, "12"))
+
+
+def test_monotone_reads_facets_not_faces(monkeypatch):
+    # membership of a target word is tested against the facets; enumerating
+    # the faces of a wide facet would cost 2^|facet|
+    from convexcodes.codes import SimplicialComplex
+
+    def no_faces(self, budget=None):
+        raise AssertionError("faces() enumerated")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", no_faces)
+    base = Code(40, frozenset({(1 << 40) - 1, 1 << 39}))
+    target = Code(40, base.words | {1, 3, (1 << 39) | 1})
+    out = monotone_extend(finite_realization(base), target)
+    assert abstract_code(out).words == target.words
+    with pytest.raises(MonotoneExtendError, match="3 is not a face of the complex"):
+        monotone_extend(finite_realization(compact(3, "12")), compact(3, "12 3"))
 
 
 def test_monotone_random_pairs_exact():
