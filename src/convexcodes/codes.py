@@ -41,9 +41,21 @@ def word_neurons(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def word_key(mask: int):
-    """Canonical sort key: cardinality first, then lexicographic on indices."""
-    return (mask.bit_count(), word_neurons(mask))
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_ALL_64 = (1 << 64) - 1
+
+
+def word_key(mask: int) -> int:
+    """Canonical sort key: cardinality first, then lexicographic on indices.
+
+    One integer, (popcount << 64) | (2^64 - 1 - bitreverse64(mask)).  Of two
+    words of one size, the lexicographically smaller index tuple holds the
+    lowest neuron of their symmetric difference; neuron i is bit 64 - i of
+    the reversed mask, so that word has the larger reversed mask and the
+    smaller key.  Masks stay below 2^64 because n <= MAX_NEURONS.
+    """
+    reversed_ = int.from_bytes(mask.to_bytes(8, "little").translate(_BYTE_REVERSED), "big")
+    return (mask.bit_count() << 64) | (_ALL_64 ^ reversed_)
 
 
 def word_label(mask: int, n: int = 9) -> str:

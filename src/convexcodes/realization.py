@@ -294,22 +294,15 @@ def monotone_extend(cover: AbstractCover, target: Code) -> AbstractCover:
                 f"target word {word_label(w, base.n)} is not a face of the complex",
                 w,
             )
-    # base <= target <= faces of base: both codes have the same maxima
-    maxima = complex_.facets
-
     points = list(cover.points)
     membership = {i: set(s) for i, s in cover.membership.items()}
     ambient = None if cover.ambient is None else set(cover.ambient)
     counter = 0
     existing = set(points)
+    # every added word is a face of the base complex but not one of its
+    # facets (those are base words), so it lies strictly inside a maximal
+    # word, whose atom a geometric construction would carve the point out of
     for sigma in sorted(target.words - base.words, key=word_key, reverse=True):
-        # a strictly bigger maximal word always exists; its atom is the one
-        # a geometric construction would carve the fresh point out of
-        if not any(m != sigma and m & sigma == sigma for m in maxima):
-            raise MonotoneExtendError(
-                f"no maximal word strictly contains {word_label(sigma, base.n)}",
-                sigma,
-            )
         while f"q{counter}" in existing:
             counter += 1
         fresh = f"q{counter}"

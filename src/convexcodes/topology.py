@@ -11,16 +11,17 @@ everything else is Unknown.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
 from .codes import (
     Code,
     SimplicialComplex,
+    intersection_completion,
     link,
     restrict,
     simplicial_complex,
-    simplicial_violators,
     word_key,
     word_neurons,
 )
@@ -152,24 +153,54 @@ def cone_complex(K: SimplicialComplex, apex: int) -> SimplicialComplex:
     return SimplicialComplex(n, frozenset(f | bit for f in K.facets))
 
 
-def _try_collapse(faces: set[int], rng: random.Random) -> tuple[tuple[int, int], ...] | None:
-    """Greedy free-face collapse; returns the removal sequence on success."""
-    live = set(faces)
+def _try_collapse(faces: Iterable[int], rng: random.Random) -> tuple[tuple[int, int], ...] | None:
+    """Greedy free-face collapse; returns the removal sequence on success.
+
+    `faces` are the non-empty faces of a complex.  While the live faces form
+    a complex, a face has exactly one proper coface iff it has exactly one
+    codimension-1 coface, so only those are counted, and an elementary
+    collapse changes the counts of the facets of the removed pair alone.
+    Each step draws from the free faces in `word_key` order; a free face
+    fixes its coface, so this is the order of the (face, coface) pairs.
+    """
+    order = sorted(faces, key=word_key)
+    rank = {f: r for r, f in enumerate(order)}
+    cofaces = dict.fromkeys(order, 0)  # live codimension-1 cofaces
+    for g in order:
+        for i in word_neurons(g):
+            h = g & ~(1 << (i - 1))
+            if h:
+                cofaces[h] += 1
+    free = [r for r, f in enumerate(order) if cofaces[f] == 1]  # ranks, sorted
+    span = 0
+    for f in order:
+        span |= f
+    span_bits = [1 << (i - 1) for i in word_neurons(span)]
+    live = len(order)
     seq: list[tuple[int, int]] = []
-    while len(live) > 1:
-        free: list[tuple[int, int]] = []
-        for f in live:
-            cof = [g for g in live if g != f and g & f == f]
-            if len(cof) == 1:
-                free.append((f, cof[0]))
+    while live > 1:
         if not free:
             return None
-        free.sort(key=lambda p: (word_key(p[0]), word_key(p[1])))
-        f, g = free[rng.randrange(len(free))]
-        live.discard(f)
-        live.discard(g)
+        f = order[free[rng.randrange(len(free))]]
+        g = next(f | b for b in span_bits if not f & b and cofaces.get(f | b, -1) >= 0)
         seq.append((f, g))
-    (last,) = live
+        live -= 2
+        for dead in (g, f):
+            r = rank[dead]
+            if cofaces[dead] == 1:
+                del free[bisect_left(free, r)]
+            cofaces[dead] = -1  # removed
+            for i in word_neurons(dead):
+                h = dead & ~(1 << (i - 1))
+                c = cofaces.get(h, -1)
+                if c <= 0:
+                    continue  # the empty face, or removed
+                cofaces[h] = c - 1
+                if c == 2:
+                    insort(free, rank[h])
+                elif c == 1:
+                    del free[bisect_left(free, rank[h])]
+    (last,) = (f for f in order if cofaces[f] >= 0)
     if last.bit_count() != 1:
         return None
     return tuple(seq)
@@ -244,6 +275,13 @@ class NonlocalObstruction:
 
 @dataclass(frozen=True)
 class LocalScan:
+    """The verdicts of a local-obstruction scan, in `word_key` order.
+
+    Only the non-empty violators that are intersections of facets are
+    scanned; at every other violator the link is a cone, so it is neither
+    found nor undecided, and the scan is exact over all violators.
+    """
+
     found: tuple[LocalObstruction, ...]
     undecided: tuple[int, ...]  # violators where contractibility came back Unknown
 
@@ -256,12 +294,20 @@ def local_obstructions(
     restarts: int = COLLAPSE_RESTARTS,
     seed: int = 0,
 ) -> LocalScan:
-    """Scan every non-empty simplicial violator for a local obstruction."""
+    """Scan the simplicial violators for a local obstruction.
+
+    Only completion(M) - C - {0} is scanned, with M the facets of the
+    code's complex: the mandatory-codeword candidates.  A violator sigma
+    outside completion(M) lies strictly inside I, the intersection of the
+    facets that contain it, and every vertex of I outside sigma lies in
+    every facet of the link at sigma.  That link is a cone, so contractible,
+    and the result equals a scan of every violator.
+    """
+    facets = simplicial_complex(code).facets
+    candidates = intersection_completion(Code(code.n, facets)).words - code.words
     found: list[LocalObstruction] = []
     undecided: list[int] = []
-    for sigma in sorted(simplicial_violators(code), key=word_key):
-        if sigma == 0:
-            continue
+    for sigma in sorted(candidates - {0}, key=word_key):
         link_cx = simplicial_complex(link(code, sigma))
         verdict = contractibility(link_cx, restarts=restarts, seed=seed)
         if isinstance(verdict, NotContractible):
@@ -354,20 +400,16 @@ def nonlocal_obstructions(
             profiles[sigma] = reduced_betti(simplicial_complex(restrict(code, sigma)))
         return profiles[sigma]
 
-    pairs = [
-        (cands[i], cands[j])
+    # cands are distinct and in word_key order, so indices order them
+    size = [c.bit_count() for c in cands]
+    pairs = sorted(
+        (size[i] + size[j], i, j)
         for i in range(len(cands))
         for j in range(i + 1, len(cands))
-    ]
-    pairs.sort(
-        key=lambda p: (
-            p[0].bit_count() + p[1].bit_count(),
-            word_key(p[0]),
-            word_key(p[1]),
-        )
     )
     found: list[NonlocalObstruction] = []
-    for s1, s2 in pairs[:max_pair_budget]:
+    for _, i, j in pairs[:max_pair_budget]:
+        s1, s2 = cands[i], cands[j]
         p1, p2 = profile(s1), profile(s2)
         if p1 != p2:
             found.append(NonlocalObstruction(s1, s2, p1, p2))

@@ -2,12 +2,27 @@
 
 Everything here enumerates from first principles (all subsets, all
 subfamilies, grid scans) so the fast implementations have something honest
-to be checked against.
+to be checked against.  The later sections keep the first, slower versions
+of fast paths as references that the fast ones must match exactly.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+
+from convexcodes import (
+    Contractible,
+    LocalObstruction,
+    NonlocalObstruction,
+    NotContractible,
+    Unknown,
+    covering_sets,
+    link,
+    reduced_betti,
+    restrict,
+    simplicial_complex,
+)
+from convexcodes.topology import LocalScan, cone_apex
 
 
 def submasks(mask: int):
@@ -440,11 +455,6 @@ def witness_code(cover, cells) -> frozenset[int]:
     return frozenset(out)
 
 
-def _word_order(w):
-    """Cardinality first, then the neuron indices lexicographically."""
-    return bin(w).count("1"), tuple(i for i in range(w.bit_length()) if w >> i & 1)
-
-
 def reference_nondegeneracy(cover, cells):
     """(cond_i, cond_ii, offenders as (condition, sigma, signs)); raises
     LowerDimensional first."""
@@ -453,7 +463,7 @@ def reference_nondegeneracy(cover, cells):
         raise LowerDimensional(lower)
     words = witness_words(cover, cells)
     offenders = []
-    for sigma in sorted(set(words), key=_word_order):
+    for sigma in sorted(set(words), key=tuple_word_key):
         members = [ix for ix, w in enumerate(words) if w == sigma]
         fulls = [ix for ix in members if cells[ix].full_dim]
         for ix in members:
@@ -465,7 +475,7 @@ def reference_nondegeneracy(cover, cells):
     for ix in range(len(cells)):
         touched = sum(1 << i for i in range(cover.n) if ix in bd_region[i])
         candidates.update(s for s in submasks(touched) if s)
-    for sigma in sorted(candidates, key=_word_order):
+    for sigma in sorted(candidates, key=tuple_word_key):
         idxs = [i for i in range(cover.n) if sigma >> i & 1]
         common = set.intersection(*(bd_region[i] for i in idxs))
         inter = set.intersection(*(in_region[i] for i in idxs))
@@ -556,3 +566,96 @@ def brute_chamber_checks(geometric, words, ambient) -> dict[str, bool]:
         "cell-for-codeword": per_cell_ok,
         "chamber-coverage": seen == set(range(1, 1 << k)),
     }
+
+
+# ---------------------------------------------------------------------------
+# The first topology scans: the tuple word key, the collapse search that
+# rescans every live face per step, the scan of every violator and the
+# sorted list of all covering-set pairs.  They reuse the unchanged library
+# pieces (links, Betti numbers, covering sets) and are the references the
+# output-sensitive versions must match exactly.
+
+
+def tuple_word_key(w: int):
+    """Cardinality first, then the 1-based neuron indices lexicographically."""
+    return w.bit_count(), tuple(i + 1 for i in range(w.bit_length()) if w >> i & 1)
+
+
+def quadratic_collapse(faces, rng):
+    """Greedy free-face collapse, finding the free faces by comparing every
+    pair of live faces at each step; the removal sequence, or None."""
+    live = set(faces)
+    seq = []
+    while len(live) > 1:
+        free = []
+        for f in live:
+            cof = [g for g in live if g != f and g & f == f]
+            if len(cof) == 1:
+                free.append((f, cof[0]))
+        if not free:
+            return None
+        free.sort(key=lambda p: (tuple_word_key(p[0]), tuple_word_key(p[1])))
+        f, g = free[rng.randrange(len(free))]
+        live.discard(f)
+        live.discard(g)
+        seq.append((f, g))
+    (last,) = live
+    if last.bit_count() != 1:
+        return None
+    return tuple(seq)
+
+
+def quadratic_contractibility(K, restarts=32, seed=0):
+    """`contractibility` with the quadratic collapse search."""
+    apex = cone_apex(K)
+    if apex is not None:
+        return Contractible(apex=apex)
+    profile = reduced_betti(K)
+    if profile.minus_one:
+        return NotContractible(degree=-1, betti=profile.minus_one)
+    for d, b in enumerate(profile.reduced):
+        if b:
+            return NotContractible(degree=d, betti=b)
+    faces = brute_delta_faces(K.facets) - {0}
+    for attempt in range(restarts):
+        seq = quadratic_collapse(faces, random.Random((seed << 16) + attempt))
+        if seq is not None:
+            return Contractible(collapse_sequence=seq)
+    return Unknown(restarts=restarts)
+
+
+def full_scan_local_obstructions(code, restarts=32, seed=0):
+    """Decide the link at every non-empty violator."""
+    found, undecided = [], []
+    for sigma in sorted(brute_violators(code.words) - {0}, key=tuple_word_key):
+        link_cx = simplicial_complex(link(code, sigma))
+        verdict = quadratic_contractibility(link_cx, restarts=restarts, seed=seed)
+        if isinstance(verdict, NotContractible):
+            found.append(LocalObstruction(sigma, verdict, link_cx.facets))
+        elif isinstance(verdict, Unknown):
+            undecided.append(sigma)
+    return LocalScan(tuple(found), tuple(undecided))
+
+
+def sorted_pairs_nonlocal_obstructions(code, max_pair_budget=2000):
+    """Materialise every pair of covering sets, sort the pairs by total size
+    and word keys, and compare the Betti profiles of the first ones."""
+    if 0 in code.words or not code.words:
+        return ()
+    cap = max(64, int((2 * max_pair_budget) ** 0.5) + 2)
+    cands = covering_sets(code, limit=cap)
+    pairs = [(a, b) for i, a in enumerate(cands) for b in cands[i + 1:]]
+    pairs.sort(
+        key=lambda p: (
+            p[0].bit_count() + p[1].bit_count(),
+            tuple_word_key(p[0]),
+            tuple_word_key(p[1]),
+        )
+    )
+    profiles = {s: reduced_betti(simplicial_complex(restrict(code, s))) for s in cands}
+    found = []
+    for s1, s2 in pairs[:max_pair_budget]:
+        p1, p2 = profiles[s1], profiles[s2]
+        if p1 != p2:
+            found.append(NonlocalObstruction(s1, s2, p1, p2))
+    return tuple(found)

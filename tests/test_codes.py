@@ -21,6 +21,7 @@ from convexcodes import (
     word_neurons,
 )
 from convexcodes.cli import _abstract_cover_text
+from convexcodes.codes import word_key
 from oracles import (
     brute_completion,
     brute_delta_faces,
@@ -30,6 +31,7 @@ from oracles import (
     pairwise_maximal_codewords,
     pointwise_abstract_words,
     scan_abstract_cover_text,
+    tuple_word_key,
 )
 
 
@@ -85,6 +87,22 @@ def test_word_mask_roundtrip():
     assert word_mask([]) == 0
     with pytest.raises(ValueError):
         word_mask([0])
+
+
+ALL_64 = (1 << 64) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(0, ALL_64), st.integers(0, 1 << 12)),
+        max_size=40,
+    )
+)
+def test_word_key_orders_like_tuple_key(masks):
+    # the integer key sorts exactly as (size, sorted neuron indices) did
+    masks += [0, ALL_64, 1, 1 << 63, ALL_64 >> 1, ALL_64 - 1]
+    assert sorted(masks, key=word_key) == sorted(masks, key=tuple_word_key)
 
 
 def test_simplicial_complex_of_fig_cover():

@@ -315,10 +315,14 @@ def test_monotone_full_face_code():
 
 
 def test_monotone_rejects_non_face():
+    # a word outside the base complex, disjoint from, above or beside its
+    # facet, is refused by the face test before any point is added
     cover = finite_realization(compact(3, "12"))
-    with pytest.raises(MonotoneExtendError) as err:
-        monotone_extend(cover, compact(3, "12 3"))
-    assert err.value.word == word_mask([3])
+    for target, word in (("12 3", "3"), ("12 123", "123"), ("12 1 23", "23")):
+        with pytest.raises(MonotoneExtendError) as err:
+            monotone_extend(cover, compact(3, target))
+        assert err.value.word == word_mask(int(i) for i in word)
+        assert str(err.value) == f"target word {word} is not a face of the complex"
 
 
 def test_monotone_rejects_dropped_word():

@@ -20,7 +20,16 @@ from convexcodes import (
     survey_nonlocal_vs_local,
     word_mask,
 )
-from oracles import brute_covering_sets
+import convexcodes.topology as topology
+from convexcodes.topology import _try_collapse
+from oracles import (
+    brute_covering_sets,
+    brute_delta_faces,
+    full_scan_local_obstructions,
+    quadratic_collapse,
+    quadratic_contractibility,
+    sorted_pairs_nonlocal_obstructions,
+)
 
 
 def cx(n, *faces):
@@ -115,9 +124,9 @@ def test_empty_face_complex_not_contractible():
 
 
 @st.composite
-def complexes(draw, max_n=5):
+def complexes(draw, max_n=5, max_words=5):
     n = draw(st.integers(2, max_n))
-    words = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    words = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_words))
     return simplicial_complex(Code(n, frozenset(words)))
 
 
@@ -148,6 +157,20 @@ def test_verdict_certificates_sound(k):
             assert p.minus_one == v.betti != 0
         else:
             assert p.reduced[v.degree] == v.betti != 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(complexes(max_n=8, max_words=8), st.integers(0, 1 << 16))
+def test_collapse_matches_quadratic_oracle(k, seed):
+    # same rng draws, same free-face order: the same sequence, pair for pair
+    faces = brute_delta_faces(k.facets) - {0}
+    for s in range(seed, seed + 3):
+        assert _try_collapse(faces, random.Random(s)) == quadratic_collapse(
+            faces, random.Random(s)
+        )
+    assert contractibility(k, restarts=4, seed=seed % 5) == quadratic_contractibility(
+        k, restarts=4, seed=seed % 5
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +207,56 @@ def test_no_local_obstruction_five_neuron_code():
     c = Code.from_compact(5, "2345 124 135 145 14 15 24 35 45 4 5")
     scan = local_obstructions(c)
     assert not scan.found and not scan.undecided
+
+
+def _random_code(rng, n):
+    facets = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))}
+    words = set(facets)
+    for f in facets:
+        words.update(f & rng.randrange(1 << n) for _ in range(rng.randint(0, 4)))
+    return Code(n, frozenset(words))
+
+
+def test_local_scan_matches_full_violator_scan():
+    # every code with n <= 3; stride 9, coprime to 2^16, so that each of the
+    # 16 words of n = 4 is in some sampled codes and out of others
+    codes = [
+        Code(n, frozenset(w for w in range(1 << n) if k >> w & 1))
+        for n in (1, 2, 3)
+        for k in range(1, 1 << (1 << n))
+    ]
+    codes += [
+        Code(4, frozenset(w for w in range(16) if k >> w & 1))
+        for k in range(1, 1 << 16, 9)
+    ]
+    rng = random.Random(20261018)
+    codes += [_random_code(rng, n) for n in range(5, 10) for _ in range(12)]
+    for c in codes:
+        assert local_obstructions(c) == full_scan_local_obstructions(c)
+
+
+def test_local_scan_skips_cone_links(monkeypatch):
+    # {[20], {1}}: completion(M) is the one facet, a codeword, so nothing is
+    # scanned; the full scan would build 2^20 - 2 links
+    calls = {"faces": 0, "contractibility": 0}
+    faces, contract = SimplicialComplex.faces, topology.contractibility
+
+    def counted_faces(self, budget=None):
+        calls["faces"] += 1
+        return faces(self, budget)
+
+    def counted_contractibility(*args, **kwargs):
+        calls["contractibility"] += 1
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", counted_faces)
+    monkeypatch.setattr(topology, "contractibility", counted_contractibility)
+    scan = local_obstructions(Code(20, frozenset({(1 << 20) - 1, 1})))
+    assert scan.certifies_no_local_obstruction()
+    assert calls == {"faces": 0, "contractibility": 0}
+    # the counters do count: a code with a local obstruction builds its link
+    local_obstructions(Code.from_compact(3, "0 1 2 13 23"))
+    assert calls["contractibility"] == 1 and calls["faces"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +298,36 @@ def test_nonlocal_six_neuron_code_empty():
 def test_nonlocal_budget_limits_work():
     c = Code.from_compact(4, "23 14 123")
     assert nonlocal_obstructions(c, max_pair_budget=0) == ()
+
+
+@st.composite
+def codes_without_empty_word(draw, max_n=4, max_words=7):
+    n = draw(st.integers(2, max_n))
+    words = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_words))
+    return Code(n, frozenset(words))
+
+
+@settings(max_examples=15, deadline=None)
+@given(codes_without_empty_word())
+def test_nonlocal_matches_sorted_pairs_oracle(c):
+    # every budget from 1 to one past the number of covering-set pairs
+    count = len(covering_sets(c))
+    for budget in range(1, count * (count - 1) // 2 + 2):
+        assert nonlocal_obstructions(c, budget) == sorted_pairs_nonlocal_obstructions(
+            c, budget
+        )
+
+
+def test_nonlocal_matches_sorted_pairs_oracle_beyond_the_cap():
+    # some of these codes have more covering sets than the scan keeps
+    rng = random.Random(7)
+    for n in (6, 7, 8):
+        for _ in range(3):
+            c = Code(n, _random_code(rng, n).words - {0})
+            for budget in (1, 50, 2000, 3000):
+                assert nonlocal_obstructions(c, budget) == (
+                    sorted_pairs_nonlocal_obstructions(c, budget)
+                )
 
 
 def test_survey_reports_but_never_asserts():
