@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 from pathlib import Path
 
 from .codes import (
@@ -217,11 +218,13 @@ def _potential_text(realz, n: int) -> str:
         verts = realz.vertex_sets.get(i, ())
         lines.append(f"set {i}: " + " ".join(f"e{p}" for p in verts))
     for w in sorted(realz.witnesses, key=word_key):
-        # a witness is barycentric: most of its coordinates are zero
-        coords = " ".join(
-            f"{c.numerator}/{c.denominator}" if c else "0/1" for c in realz.witnesses[w]
-        )
-        lines.append(f"witness {word_label(w, n)}: {coords}")
+        # a witness is sparse: write its reduced fractions into a row of zeros
+        den, numerators = realz.witnesses[w]
+        row = ["0/1"] * realz.dimension
+        for j, a in numerators.items():
+            g = gcd(a, den)
+            row[j] = f"{a // g}/{den // g}"
+        lines.append(f"witness {word_label(w, n)}: " + " ".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -32,12 +32,10 @@ def word_mask(neurons: Iterable[int], n: int | None = None) -> int:
 def word_neurons(mask: int) -> tuple[int, ...]:
     """Unpack a bit mask into sorted 1-based neuron indices."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -58,6 +56,9 @@ def word_key(mask: int) -> int:
     return (mask.bit_count() << 64) | (_ALL_64 ^ reversed_)
 
 
+_NEURON_TEXT = tuple(str(i) for i in range(MAX_NEURONS + 1))
+
+
 def word_label(mask: int, n: int = 9) -> str:
     """Render a codeword; '0' denotes the empty word.
 
@@ -66,10 +67,12 @@ def word_label(mask: int, n: int = 9) -> str:
     """
     if mask == 0:
         return "0"
-    idx = word_neurons(mask)
-    if n <= 9:
-        return "".join(str(i) for i in idx)
-    return ",".join(str(i) for i in idx)
+    parts = []
+    while mask:
+        low = mask & -mask
+        parts.append(_NEURON_TEXT[low.bit_length()])
+        mask ^= low
+    return ("" if n <= 9 else ",").join(parts)
 
 
 def _submasks(mask: int) -> Iterator[int]:

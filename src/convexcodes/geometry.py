@@ -921,20 +921,30 @@ def _parse_frac(tok: str, ln: int) -> Fraction:
 
 
 def cover_to_text(cover: PolyhedralCover) -> str:
+    """The cover in the format `cover_from_text` reads.
+
+    Regions may share half-space objects (the chamber cover's regions share
+    the k simplex-facet sides), so each distinct object, keyed by its id
+    within this call, is formatted once and its line reused.
+    """
     lines = [
         f"d={cover.dimension} n={cover.n} ambient={cover.ambient_label()}"
     ]
+    rendered: dict[int, str] = {}  # id of a half-space -> its H line
 
     def emit_region(r: ConvexRegion) -> None:
         for h in r.halfspaces:
-            rel = "lt" if h.strict else "le"
-            lines.append(
-                "H "
-                + " ".join(_frac_str(c) for c in h.normal)
-                + " : "
-                + _frac_str(h.offset)
-                + f" {rel}"
-            )
+            line = rendered.get(id(h))
+            if line is None:
+                rel = "lt" if h.strict else "le"
+                line = rendered[id(h)] = (
+                    "H "
+                    + " ".join(_frac_str(c) for c in h.normal)
+                    + " : "
+                    + _frac_str(h.offset)
+                    + f" {rel}"
+                )
+            lines.append(line)
         if r.ball is not None:
             rel = "lt" if r.ball.strict else "le"
             lines.append(

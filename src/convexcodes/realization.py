@@ -17,7 +17,6 @@ misses.  That makes the half-space code the abstract chamber code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
@@ -40,7 +39,6 @@ from .geometry import (
     ConvexRegion,
     HalfSpace,
     PolyhedralCover,
-    Vec,
     code_of_cover,
 )
 
@@ -348,11 +346,17 @@ def abstract_from_cover(
 # potential cover
 
 
+# A point of the potential cover's simplex in integers: a denominator and the
+# numerators on its support, coordinate -> numerator; every other coordinate
+# is zero.  The point is sum_j (numerator_j / denominator) e_j.
+SparsePoint = tuple[int, Mapping[int, int]]
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialCoverRealization:
     basis_index: Mapping[int, int]  # non-empty codeword -> coordinate
     vertex_sets: Mapping[int, tuple[int, ...]]  # neuron -> vertex coordinates
-    witnesses: Mapping[int, Vec]  # achieved codeword -> point of its atom
+    witnesses: Mapping[int, SparsePoint]  # achieved codeword -> point of its atom
     dimension: int
 
 
@@ -362,8 +366,12 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
     The achieved code is computed combinatorially: a non-empty word belongs
     iff it equals the intersection of all non-empty codewords containing it,
     and the empty word belongs iff no neuron lies in every non-empty
-    codeword.  Every achieved word gets an exact barycentric witness whose
-    membership pattern is then verified coordinate by coordinate.
+    codeword.  Every achieved word gets an exact barycentric witness, kept
+    sparse in integers: sigma's is the barycentre of the vertices e_w of its
+    family {w : w contains sigma}, (len(family), 1 on each e_w), built in the
+    same pass over the family that finds its intersection, and the empty
+    word's is the barycentre of all dim vertices.  Each witness's membership
+    pattern is then verified by `_potential_word` in integer arithmetic.
     """
     if not code.words:
         raise ValueError("potential cover needs a non-empty code")
@@ -375,32 +383,23 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
         for i in range(1, code.n + 1)
     }
 
-    achieved_words: set[int] = set()
+    witnesses: dict[int, SparsePoint] = {}
     if nonempty:
         candidates = simplicial_complex(Code(code.n, frozenset(nonempty))).faces()
         for sigma in candidates:
             if sigma == 0:
                 continue
-            closure = None
-            for w in nonempty:
-                if w & sigma == sigma:
-                    closure = w if closure is None else closure & w
+            family = [w for w in nonempty if w & sigma == sigma]
+            closure = family[0]
+            for w in family:
+                closure &= w
             if closure == sigma:
-                achieved_words.add(sigma)
+                witnesses[sigma] = (len(family), {basis_index[w]: 1 for w in family})
         common = nonempty[0]
         for w in nonempty:
             common &= w
         if common == 0:
-            achieved_words.add(0)
-
-    witnesses: dict[int, Vec] = {}
-    for sigma in achieved_words:
-        family = [w for w in nonempty if w & sigma == sigma] if sigma else nonempty
-        kf = len(family)
-        point = [Fraction(0)] * dim
-        for w in family:
-            point[basis_index[w]] = Fraction(1, kf)
-        witnesses[sigma] = tuple(point)
+            witnesses[0] = (dim, dict.fromkeys(range(dim), 1))
 
     vertex_sets_of = {i: set(v) for i, v in vertex_sets.items()}
     sound = all(
@@ -409,7 +408,7 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
     )
     checks = [CheckRecord("witness-membership", sound, f"{len(witnesses)} witnesses")]
 
-    achieved = Code(code.n, frozenset(achieved_words))
+    achieved = Code(code.n, frozenset(witnesses))
     target = intersection_completion(Code(code.n, frozenset(nonempty))) if nonempty else Code(code.n, frozenset())
     checks.append(
         CheckRecord(
@@ -431,18 +430,24 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
     return realization, cert
 
 
-def _potential_word(point: Vec, vertex_sets: Mapping[int, set[int]]) -> int | None:
+def _potential_word(point: SparsePoint, vertex_sets: Mapping[int, set[int]]) -> int | None:
     """The word of a point of the potential cover's simplex, by its support.
 
-    None when the point is not a convex combination of the basis vectors:
-    a negative coordinate, or coordinates not summing to 1.
+    All in integers.  None when the point is not a convex combination of the
+    basis vectors: a denominator that is not positive, a negative numerator,
+    or numerators not summing to the denominator.  The support is the
+    coordinates with a non-zero numerator, and the point lies in V_i iff its
+    support is inside i's vertex set.
     """
-    nonzero = {j: c for j, c in enumerate(point) if c}
-    if any(c < 0 for c in nonzero.values()) or sum(nonzero.values(), Fraction(0)) != 1:
+    den, numerators = point
+    if den <= 0 or min(numerators.values(), default=0) < 0:
         return None
+    if sum(numerators.values()) != den:
+        return None
+    support = {j for j, a in numerators.items() if a}
     word = 0
     for i, vertices in vertex_sets.items():
-        if nonzero.keys() <= vertices:
+        if support <= vertices:
             word |= 1 << (i - 1)
     return word
 
@@ -458,7 +463,9 @@ def realize(code: Code, ambient: str | None = None):
     Returns NotApplicable, with the first missing intersection of maximal
     words as witness, when the completeness hypothesis fails.  The ambient
     mode defaults to whole space when the empty word is present and to the
-    union of the sets otherwise.
+    union of the sets otherwise; asking for the union ambient on a code with
+    the empty word raises MonotoneExtendError, as no point of the union lies
+    outside every set.
     """
     maxima = sorted(maximal_codewords(code), key=word_key)
     completion = intersection_completion(Code(code.n, frozenset(maxima)))
@@ -466,6 +473,13 @@ def realize(code: Code, ambient: str | None = None):
         return _missing_intersection(code, maxima, completion)
     if ambient is None:
         ambient = AMBIENT_WHOLE if 0 in code.words else AMBIENT_UNION
+    elif ambient == AMBIENT_UNION and 0 in code.words:
+        # every point of the union lies in some set, so none carries the empty word
+        raise MonotoneExtendError(
+            "the union of the sets has no point outside every set, "
+            "so the empty word 0 cannot be realized",
+            0,
+        )
     realz, cert = max_int_realization(code, ambient)
     base_code = cert.achieved
     if base_code.words == code.words:

@@ -659,3 +659,120 @@ def sorted_pairs_nonlocal_obstructions(code, max_pair_budget=2000):
         if p1 != p2:
             found.append(NonlocalObstruction(s1, s2, p1, p2))
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# The word helpers' bit-by-bit loops, the dense `Fraction` potential cover
+# witnesses and the cover writer that formats every half-space of every
+# region; the set-bit loops, sparse integer witnesses and once-per-object
+# half-space lines must match them exactly.
+
+
+def bitwise_word_neurons(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def bitwise_word_label(mask: int, n: int = 9) -> str:
+    if mask == 0:
+        return "0"
+    idx = bitwise_word_neurons(mask)
+    if n <= 9:
+        return "".join(str(i) for i in idx)
+    return ",".join(str(i) for i in idx)
+
+
+def dense_potential_cover(code):
+    """The achieved words and dense `Fraction` witnesses of the potential
+    cover: sigma's witness puts 1/|family| on every e_w with w containing
+    sigma, and the empty word's puts 1/dim everywhere."""
+    nonempty = sorted((w for w in code.words if w), key=tuple_word_key)
+    basis_index = {w: i for i, w in enumerate(nonempty)}
+    dim = len(nonempty)
+    achieved_words = set()
+    if nonempty:
+        for sigma in brute_delta_faces(nonempty):
+            if sigma == 0:
+                continue
+            closure = None
+            for w in nonempty:
+                if w & sigma == sigma:
+                    closure = w if closure is None else closure & w
+            if closure == sigma:
+                achieved_words.add(sigma)
+        common = nonempty[0]
+        for w in nonempty:
+            common &= w
+        if common == 0:
+            achieved_words.add(0)
+    witnesses = {}
+    for sigma in achieved_words:
+        family = [w for w in nonempty if w & sigma == sigma] if sigma else nonempty
+        point = [Fraction(0)] * dim
+        for w in family:
+            point[basis_index[w]] = Fraction(1, len(family))
+        witnesses[sigma] = tuple(point)
+    return achieved_words, witnesses
+
+
+def dense_potential_word(point, vertex_sets):
+    """The word of a dense point by its support, or None off the simplex."""
+    nonzero = {j: c for j, c in enumerate(point) if c}
+    if any(c < 0 for c in nonzero.values()) or sum(nonzero.values(), Fraction(0)) != 1:
+        return None
+    word = 0
+    for i, vertices in vertex_sets.items():
+        if nonzero.keys() <= vertices:
+            word |= 1 << (i - 1)
+    return word
+
+
+def dense_potential_text(realz, n: int) -> str:
+    """potential_cover.txt from a realization whose witnesses are dense."""
+    lab = lambda w: bitwise_word_label(w, n)
+    lines = [f"dimension: {realz.dimension}"]
+    for w, pos in sorted(realz.basis_index.items(), key=lambda kv: tuple_word_key(kv[0])):
+        lines.append(f"vertex e{pos}: word {lab(w)}")
+    for i in range(1, n + 1):
+        verts = realz.vertex_sets.get(i, ())
+        lines.append(f"set {i}: " + " ".join(f"e{p}" for p in verts))
+    for w in sorted(realz.witnesses, key=tuple_word_key):
+        coords = " ".join(
+            f"{c.numerator}/{c.denominator}" if c else "0/1" for c in realz.witnesses[w]
+        )
+        lines.append(f"witness {lab(w)}: {coords}")
+    return "\n".join(lines) + "\n"
+
+
+def per_region_cover_to_text(cover) -> str:
+    """cover.txt, formatting every half-space of every region afresh."""
+    frac = lambda f: f"{f.numerator}/{f.denominator}"
+    lines = [f"d={cover.dimension} n={cover.n} ambient={cover.ambient_label()}"]
+
+    def emit_region(r) -> None:
+        for h in r.halfspaces:
+            rel = "lt" if h.strict else "le"
+            lines.append(
+                "H " + " ".join(frac(c) for c in h.normal) + " : " + frac(h.offset) + f" {rel}"
+            )
+        if r.ball is not None:
+            rel = "lt" if r.ball.strict else "le"
+            lines.append(
+                "BALL "
+                + " ".join(frac(c) for c in r.ball.center)
+                + f" {frac(r.ball.radius)} {rel}"
+            )
+
+    for r in cover.regions:
+        lines.append("SET")
+        emit_region(r)
+    if not isinstance(cover.ambient, str):
+        lines.append("AMBIENT")
+        emit_region(cover.ambient)
+    return "\n".join(lines) + "\n"

@@ -148,6 +148,16 @@ def test_realize_not_applicable_exit_1(tmp_path, capsys):
     assert "1 = 123" in out and "156" in out
 
 
+def test_realize_union_ambient_with_empty_word_exits_1(tmp_path, capsys):
+    path = write_code(tmp_path, "c.code", 3, "0 1")
+    out_dir = tmp_path / "o"
+    assert main(["realize", path, "--ambient", "union", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not realizable under the requested ambient" in captured.err
+    assert not out_dir.exists()
+
+
 def test_realize_potential(tmp_path, capsys):
     path = write_code(tmp_path, "c.code", 2, "1 2 12")
     out_dir = tmp_path / "pot"

@@ -21,8 +21,10 @@ from convexcodes import (
     word_neurons,
 )
 from convexcodes.cli import _abstract_cover_text
-from convexcodes.codes import word_key
+from convexcodes.codes import word_key, word_label
 from oracles import (
+    bitwise_word_label,
+    bitwise_word_neurons,
     brute_completion,
     brute_delta_faces,
     brute_link,
@@ -103,6 +105,22 @@ def test_word_key_orders_like_tuple_key(masks):
     # the integer key sorts exactly as (size, sorted neuron indices) did
     masks += [0, ALL_64, 1, 1 << 63, ALL_64 >> 1, ALL_64 - 1]
     assert sorted(masks, key=word_key) == sorted(masks, key=tuple_word_key)
+
+
+def test_word_helpers_match_bitwise_loops_below_2_12():
+    for mask in range(1 << 12):
+        assert word_neurons(mask) == bitwise_word_neurons(mask)
+        for n in (9, 10):
+            assert word_label(mask, n) == bitwise_word_label(mask, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, ALL_64), max_size=20))
+def test_word_helpers_match_bitwise_loops_below_2_64(masks):
+    for mask in masks + [ALL_64, 1 << 63]:
+        assert word_neurons(mask) == bitwise_word_neurons(mask)
+        for n in (9, 10, 64):
+            assert word_label(mask, n) == bitwise_word_label(mask, n)
 
 
 def test_simplicial_complex_of_fig_cover():

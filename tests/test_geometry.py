@@ -23,6 +23,7 @@ from convexcodes import (
     cover_to_text,
     enumerate_cells,
     feasible,
+    max_int_realization,
     open_interval,
     sample_code,
     verify_closure_interior_invariance,
@@ -45,6 +46,7 @@ from oracles import (
     grid_sign_vectors,
     interior_cells,
     interval_cover_code,
+    per_region_cover_to_text,
     plane_sign,
     reference_invariance,
     reference_nondegeneracy,
@@ -639,6 +641,65 @@ def test_cover_text_roundtrip_region_ambient():
     )
     parsed = cover_from_text(cover_to_text(cover))
     assert parsed == cover
+
+
+def test_cover_text_matches_per_region_oracle_on_chamber_covers():
+    for k in range(1, 9):
+        # the complement code on [k] has k maximal words
+        code = Code(k, frozenset(range((1 << k) - 1)))
+        for ambient in (AMBIENT_WHOLE, AMBIENT_UNION):
+            realz, _ = max_int_realization(code, ambient)
+            assert cover_to_text(realz.geometric) == per_region_cover_to_text(realz.geometric)
+
+
+def test_cover_text_formats_each_shared_half_space_once(monkeypatch):
+    import convexcodes.geometry as geometry
+
+    # eight disjoint pairs: each of the 16 regions is cut by 7 of the 8 facet sides
+    pairs = Code(16, frozenset({0} | {3 << (2 * a) for a in range(8)}))
+    realz, _ = max_int_realization(pairs, AMBIENT_WHOLE)
+    cover = realz.geometric
+    assert len({id(h) for r in cover.regions for h in r.halfspaces}) == 8
+    assert sum(len(r.halfspaces) for r in cover.regions) == 16 * 7
+    formatted = []
+    frac_str = geometry._frac_str
+    monkeypatch.setattr(geometry, "_frac_str", lambda f: formatted.append(f) or frac_str(f))
+    text = cover_to_text(cover)
+    assert len(formatted) == 8 * (cover.dimension + 1)
+    assert text == per_region_cover_to_text(cover)
+
+
+def test_cover_text_matches_per_region_oracle_on_mixed_covers():
+    rng = random.Random(2024)
+    for _ in range(80):
+        d = rng.randint(1, 3)
+        pool = [
+            HalfSpace(
+                tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d - 1))
+                + (F(rng.choice([-2, -1, 1, 3])),),
+                F(rng.randint(-6, 6), rng.randint(1, 4)),
+                rng.random() < 0.5,
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+
+        def region():
+            # shared objects from the pool, equal but distinct copies, fresh ones
+            hs = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            hs += [HalfSpace(h.normal, h.offset, h.strict) for h in rng.sample(pool, 1)]
+            ball = None
+            if rng.random() < 0.3:
+                center = tuple(F(rng.randint(-3, 3), 2) for _ in range(d))
+                ball = Ball(center, F(rng.randint(1, 5), 3), rng.random() < 0.5)
+            return ConvexRegion(d, tuple(hs), ball)
+
+        ambient = rng.choice([AMBIENT_WHOLE, AMBIENT_UNION, None])
+        cover = PolyhedralCover(
+            d, tuple(region() for _ in range(rng.randint(1, 4))), ambient or region()
+        )
+        text = cover_to_text(cover)
+        assert text == per_region_cover_to_text(cover)
+        assert cover_from_text(text) == cover
 
 
 def test_cover_parse_errors_carry_line_numbers():

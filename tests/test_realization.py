@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexcodes import (
     AMBIENT_UNION,
@@ -31,12 +33,15 @@ from convexcodes import (
 )
 import convexcodes.realization as realization
 from convexcodes import Ball, ConvexRegion, HalfSpace
-from convexcodes.cli import _abstract_cover_text
+from convexcodes.cli import _abstract_cover_text, _potential_text
 from convexcodes.realization import CheckRecord, _potential_word, _simplex_sides
 from oracles import (
     brute_chamber_checks,
     brute_completion,
     chamber_membership_by_filter,
+    dense_potential_cover,
+    dense_potential_text,
+    dense_potential_word,
     pointwise_abstract_words,
     scan_abstract_cover_text,
 )
@@ -390,8 +395,9 @@ def test_potential_cover_examples():
 def test_potential_cover_witnesses_exact():
     realz, cert = potential_cover(compact(3, "12 23 123"))
     assert cert.valid
-    for sigma, point in realz.witnesses.items():
-        support = {j for j, c in enumerate(point) if c > 0}
+    for sigma, (den, numerators) in realz.witnesses.items():
+        assert den == sum(numerators.values()) and all(a > 0 for a in numerators.values())
+        support = set(numerators)
         for i in range(1, 4):
             holds = bool(support) and support <= set(realz.vertex_sets[i])
             assert holds == bool(sigma & (1 << (i - 1)))
@@ -399,12 +405,57 @@ def test_potential_cover_witnesses_exact():
 
 def test_potential_word_rejects_non_convex_points():
     vertex_sets = {1: {0, 1}, 2: {1, 2}}
-    assert _potential_word((F(1, 2), F(1, 2), F(0)), vertex_sets) == word_mask([1])
-    assert _potential_word((F(0), F(1), F(0)), vertex_sets) == word_mask([1, 2])
-    assert _potential_word((F(0), F(0), F(1)), vertex_sets) == word_mask([2])
+    assert _potential_word((2, {0: 1, 1: 1}), vertex_sets) == word_mask([1])
+    assert _potential_word((1, {1: 1}), vertex_sets) == word_mask([1, 2])
+    assert _potential_word((1, {2: 1}), vertex_sets) == word_mask([2])
+    # a zero numerator is off the support
+    assert _potential_word((1, {0: 0, 2: 1}), vertex_sets) == word_mask([2])
     # sums to 1 with the same support pattern, but one coordinate is negative
-    assert _potential_word((F(-1, 2), F(3, 2), F(0)), vertex_sets) is None
-    assert _potential_word((F(1, 2), F(1, 4), F(0)), vertex_sets) is None
+    assert _potential_word((2, {0: -1, 1: 3}), vertex_sets) is None
+    # the numerators do not sum to the denominator
+    assert _potential_word((4, {0: 2, 1: 1}), vertex_sets) is None
+    # the numerators sum to the denominator, which is not positive
+    assert _potential_word((0, {}), vertex_sets) is None
+    assert _potential_word((-2, {0: -1, 1: -1}), vertex_sets) is None
+
+
+def dense(point, dim):
+    den, numerators = point
+    return tuple(F(numerators.get(j, 0), den) for j in range(dim))
+
+
+def test_potential_text_reduces_sparse_fractions():
+    realz = realization.PotentialCoverRealization(
+        {word_mask([1]): 0, word_mask([2]): 1, word_mask([1, 2]): 2},
+        {1: (0, 2), 2: (1, 2)},
+        {word_mask([1, 2]): (4, {2: 4}), 0: (6, {0: 2, 1: 4, 2: 0})},
+        3,
+    )
+    lines = _potential_text(realz, 2).splitlines()
+    assert lines[-2:] == ["witness 0: 1/3 2/3 0/1", "witness 12: 0/1 0/1 1/1"]
+
+
+@st.composite
+def potential_codes(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14))
+    return Code(n, frozenset(words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(potential_codes())
+def test_potential_cover_matches_dense_oracle(code):
+    realz, cert = potential_cover(code)
+    achieved, witnesses = dense_potential_cover(code)
+    assert cert.achieved.words == achieved and cert.valid
+    dim = realz.dimension
+    assert {w: dense(p, dim) for w, p in realz.witnesses.items()} == witnesses
+    vertex_sets = {i: set(v) for i, v in realz.vertex_sets.items()}
+    for sigma, point in witnesses.items():
+        assert dense_potential_word(point, vertex_sets) == sigma
+        assert _potential_word(realz.witnesses[sigma], vertex_sets) == sigma
+    dense_realz = dataclasses.replace(realz, witnesses=witnesses)
+    assert _potential_text(realz, code.n) == dense_potential_text(dense_realz, code.n)
 
 
 def test_potential_cover_random_oracle():
@@ -457,6 +508,17 @@ def test_realize_code_with_empty_word():
     assert cert.ambient == AMBIENT_WHOLE
     assert cert.achieved.words == c.words
     assert cert.valid and replay_certificate(cert)
+
+
+def test_realize_union_ambient_rejects_the_empty_word():
+    # no point of the union of the sets lies outside every set
+    with pytest.raises(MonotoneExtendError, match="empty word") as err:
+        realize(compact(3, "0 1"), ambient=AMBIENT_UNION)
+    assert err.value.word == 0
+    cert = realize(compact(3, "0 1"), ambient=AMBIENT_WHOLE)
+    assert cert.valid and cert.achieved.words == compact(3, "0 1").words
+    cert = realize(compact(3, "1"), ambient=AMBIENT_UNION)
+    assert cert.valid and cert.achieved.words == compact(3, "1").words
 
 
 def test_realize_random_complete_codes():
