@@ -67,21 +67,3 @@ rep = classify_completeness(c4)
 print("six-neuron code: max intersection-complete?", rep.max_intersection_complete)
 m = Code(6, maximal_codewords(c4))
 show(intersection_completion(m), "completion of its maximal words")
-print()
-
-# Whether a non-local obstruction forces a local one is an open question;
-# the survey below only reports what random codes do, it asserts nothing.
-import random
-
-from convexcodes import survey_nonlocal_vs_local
-
-rng = random.Random(7)
-pool = []
-for _ in range(60):
-    n = rng.randint(3, 5)
-    words = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))}
-    pool.append(Code(n, frozenset(words)))
-rows = survey_nonlocal_vs_local(pool, max_pair_budget=300)
-with_local = sum(1 for r in rows if r["has_local"])
-print(f"survey: {len(rows)} random codes had a non-local obstruction; "
-      f"{with_local} of them also had a local one")

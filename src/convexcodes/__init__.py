@@ -70,13 +70,11 @@ from .topology import (
     NotContractible,
     Unknown,
     contractibility,
-    cone_complex,
     covering_sets,
     local_obstructions,
     nonlocal_obstructions,
     reduced_betti,
     replay_collapse,
-    survey_nonlocal_vs_local,
 )
 
 # the public names imported above, without the submodules they come from

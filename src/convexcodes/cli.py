@@ -16,8 +16,9 @@ from pathlib import Path
 from .codes import (
     Code,
     CodeParseError,
+    FaceBudgetError,
+    classify_completeness,
     code_from_text,
-    intersection_completion,
     simplicial_complex,
     simplicial_violators,
     word_key,
@@ -81,7 +82,7 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
     violators = sorted(simplicial_violators(code), key=word_key)
     scan = local_obstructions(code)
     nonlocal_ = nonlocal_obstructions(code, max_pair_budget=nonlocal_budget)
-    # realize refuses exactly the codes that are not max intersection-complete
+    completeness = classify_completeness(code)
     ra = realize(code)
     if isinstance(ra, NotApplicable):
         realization = {
@@ -121,8 +122,8 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
             }
             for o in nonlocal_
         ],
-        "intersection_complete": intersection_completion(code) == code,
-        "max_intersection_complete": not isinstance(ra, NotApplicable),
+        "intersection_complete": completeness.intersection_complete,
+        "max_intersection_complete": completeness.max_intersection_complete,
         "realization": realization,
     }
 
@@ -169,7 +170,11 @@ def cmd_analyze(args) -> int:
     except CodeParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = analysis_report(code, args.nonlocal_budget)
+    try:
+        report = analysis_report(code, args.nonlocal_budget)
+    except FaceBudgetError as exc:
+        print(f"over budget: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -343,6 +348,17 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERDICT
 
 
+def _budget(text: str) -> int:
+    """A non-negative integer option; anything else is a parse error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="convexcodes",
@@ -352,7 +368,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="obstructions and completeness of a code file")
     p.add_argument("code_file")
-    p.add_argument("--nonlocal-budget", type=int, default=2000)
+    p.add_argument("--nonlocal-budget", type=_budget, default=2000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .codes import (
     Code,
@@ -142,15 +143,6 @@ def cone_apex(K: SimplicialComplex) -> int | None:
     if not common:
         return None
     return word_neurons(common)[0]
-
-
-def cone_complex(K: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """The cone over K with a fresh apex vertex."""
-    bit = 1 << (apex - 1)
-    if any(f & bit for f in K.facets):
-        raise ValueError(f"apex {apex} already appears in the complex")
-    n = max(K.n, apex)
-    return SimplicialComplex(n, frozenset(f | bit for f in K.facets))
 
 
 def _try_collapse(faces: Iterable[int], rng: random.Random) -> tuple[tuple[int, int], ...] | None:
@@ -317,65 +309,44 @@ def local_obstructions(
     return LocalScan(tuple(found), tuple(undecided))
 
 
-def minimal_covering_sets(code: Code) -> list[int]:
-    """Inclusion-minimal subsets meeting every codeword (minimal hitting sets)."""
+def covering_sets(code: Code, limit: int | None = None) -> list[int]:
+    """The first `limit` covering subsets (all if None), in `word_key` order.
+
+    A covering subset meets every codeword.  One depth-first search per size
+    adds neurons in increasing order, which within a size is lexicographic
+    order.  A branch is cut when an unhit word has no neuron left to add, or
+    when a greedy packing of the unhit words, cut down to the addable
+    neurons, holds more pairwise-disjoint words than neurons may still be
+    added: each of those words needs a neuron of its own.
+    """
     if 0 in code.words or not code.words:
         return []
+    n = code.n
+
+    def grow(chosen: int, first: int, left: int, unhit: list[int]) -> Iterator[int]:
+        # `left` more neurons, drawn from first..n
+        if not left:
+            if not unhit:
+                yield chosen
+            return
+        addable = (1 << n) - (1 << (first - 1))
+        used = packed = 0
+        for w in unhit:
+            w &= addable
+            if not w:
+                return
+            if not w & used:
+                used |= w
+                packed += 1
+        if packed > left:
+            return
+        for i in range(first, n - left + 2):
+            bit = 1 << (i - 1)
+            yield from grow(chosen | bit, i + 1, left - 1, [w for w in unhit if not w & bit])
+
     words = sorted(code.words, key=word_key)
-    minimal: list[int] = []
-
-    def dominated(s: int) -> bool:
-        return any(m & s == m for m in minimal)
-
-    def branch(s: int, remaining: list[int]) -> None:
-        if dominated(s):
-            return
-        uncovered = [w for w in remaining if not w & s]
-        if not uncovered:
-            minimal.append(s)
-            return
-        w = uncovered[0]
-        for i in word_neurons(w):
-            branch(s | (1 << (i - 1)), uncovered[1:])
-
-    branch(0, words)
-    # branching can emit non-minimal sets; prune to the true minima
-    minimal.sort(key=word_key)
-    pruned: list[int] = []
-    for s in minimal:
-        if not any(m != s and m & s == m for m in pruned):
-            pruned.append(s)
-    return pruned
-
-
-def covering_sets(code: Code, limit: int | None = None) -> list[int]:
-    """Covering subsets in canonical size order, grown from the minimal ones.
-
-    Every covering set is a superset of a minimal one, so size level s is
-    the minima of size s plus all one-element extensions of level s-1.
-    """
-    minima = minimal_covering_sets(code)
-    if not minima:
-        return []
-    full = (1 << code.n) - 1
-    by_size: dict[int, set[int]] = {}
-    for m in minima:
-        by_size.setdefault(m.bit_count(), set()).add(m)
-    out: list[int] = []
-    prev: set[int] = set()
-    for size in range(min(by_size), code.n + 1):
-        level = set(by_size.get(size, ()))
-        for s in prev:
-            rest = full & ~s
-            for i in word_neurons(rest):
-                level.add(s | (1 << (i - 1)))
-        out.extend(sorted(level, key=word_key))
-        if limit is not None and len(out) >= limit:
-            break
-        prev = level
-    if limit is not None:
-        out = out[:limit]
-    return out
+    found = chain.from_iterable(grow(0, 1, size, words) for size in range(1, n + 1))
+    return list(islice(found, limit))
 
 
 def nonlocal_obstructions(
@@ -414,30 +385,3 @@ def nonlocal_obstructions(
         if p1 != p2:
             found.append(NonlocalObstruction(s1, s2, p1, p2))
     return tuple(found)
-
-
-def survey_nonlocal_vs_local(
-    codes: Iterable[Code],
-    max_pair_budget: int = 500,
-) -> list[dict]:
-    """Report, never assert: does a non-local obstruction come with a local one?
-
-    One row per code that has a non-local obstruction.  Consumers must treat
-    the rows as observations only.
-    """
-    rows = []
-    for c in codes:
-        nl = nonlocal_obstructions(c, max_pair_budget=max_pair_budget)
-        if not nl:
-            continue
-        scan = local_obstructions(c)
-        rows.append(
-            {
-                "code": tuple(c.sorted_words()),
-                "n": c.n,
-                "nonlocal_pairs": len(nl),
-                "has_local": bool(scan.found),
-                "undecided_links": len(scan.undecided),
-            }
-        )
-    return rows

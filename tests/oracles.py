@@ -16,7 +16,6 @@ from convexcodes import (
     NonlocalObstruction,
     NotContractible,
     Unknown,
-    covering_sets,
     link,
     reduced_betti,
     restrict,
@@ -570,10 +569,11 @@ def brute_chamber_checks(geometric, words, ambient) -> dict[str, bool]:
 
 # ---------------------------------------------------------------------------
 # The first topology scans: the tuple word key, the collapse search that
-# rescans every live face per step, the scan of every violator and the
-# sorted list of all covering-set pairs.  They reuse the unchanged library
-# pieces (links, Betti numbers, covering sets) and are the references the
-# output-sensitive versions must match exactly.
+# rescans every live face per step, the scan of every violator, the
+# enumeration of every minimal covering set and the sorted list of all
+# covering-set pairs.  They reuse the unchanged library pieces (links, Betti
+# numbers) and are the references the output-sensitive versions must match
+# exactly.
 
 
 def tuple_word_key(w: int):
@@ -637,13 +637,73 @@ def full_scan_local_obstructions(code, restarts=32, seed=0):
     return LocalScan(tuple(found), tuple(undecided))
 
 
+def minimal_covering_sets(code):
+    """Inclusion-minimal subsets meeting every codeword (minimal hitting sets)."""
+    if 0 in code.words or not code.words:
+        return []
+    words = sorted(code.words, key=tuple_word_key)
+    minimal = []
+
+    def dominated(s):
+        return any(m & s == m for m in minimal)
+
+    def branch(s, remaining):
+        if dominated(s):
+            return
+        uncovered = [w for w in remaining if not w & s]
+        if not uncovered:
+            minimal.append(s)
+            return
+        w = uncovered[0]
+        for i in tuple_word_key(w)[1]:
+            branch(s | (1 << (i - 1)), uncovered[1:])
+
+    branch(0, words)
+    # branching can emit non-minimal sets; prune to the true minima
+    minimal.sort(key=tuple_word_key)
+    pruned = []
+    for s in minimal:
+        if not any(m != s and m & s == m for m in pruned):
+            pruned.append(s)
+    return pruned
+
+
+def levelwise_covering_sets(code, limit=None):
+    """Covering subsets in canonical size order, grown from the minimal ones.
+
+    Every covering set is a superset of a minimal one, so size level s is
+    the minima of size s plus all one-element extensions of level s-1.
+    """
+    minima = minimal_covering_sets(code)
+    if not minima:
+        return []
+    by_size = {}
+    for m in minima:
+        by_size.setdefault(m.bit_count(), set()).add(m)
+    out = []
+    prev = set()
+    for size in range(min(by_size), code.n + 1):
+        level = set(by_size.get(size, ()))
+        for s in prev:
+            for i in range(code.n):
+                if not s >> i & 1:
+                    level.add(s | (1 << i))
+        out.extend(sorted(level, key=tuple_word_key))
+        if limit is not None and len(out) >= limit:
+            break
+        prev = level
+    if limit is not None:
+        out = out[:limit]
+    return out
+
+
 def sorted_pairs_nonlocal_obstructions(code, max_pair_budget=2000):
     """Materialise every pair of covering sets, sort the pairs by total size
     and word keys, and compare the Betti profiles of the first ones."""
     if 0 in code.words or not code.words:
         return ()
     cap = max(64, int((2 * max_pair_budget) ** 0.5) + 2)
-    cands = covering_sets(code, limit=cap)
+    cands = levelwise_covering_sets(code, limit=cap)
     pairs = [(a, b) for i, a in enumerate(cands) for b in cands[i + 1:]]
     pairs.sort(
         key=lambda p: (

@@ -307,6 +307,48 @@ def test_exit_codes_are_stable(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_over_face_budget_exit_3(tmp_path, capsys, monkeypatch):
+    import convexcodes.topology as topology
+    from convexcodes.codes import FaceBudgetError
+
+    def over_budget(*args, **kwargs):
+        raise FaceBudgetError("complex exceeds face budget of 1048576")
+
+    monkeypatch.setattr(topology, "reduced_betti", over_budget)
+    path = write_code(tmp_path, "c.code", 4, "23 14 123")
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "over budget: complex exceeds face budget of 1048576"
+    ]
+
+
+@pytest.mark.parametrize("budget", ["-1", "x"])
+def test_analyze_rejects_a_bad_nonlocal_budget(tmp_path, capsys, budget):
+    path = write_code(tmp_path, "c.code", 4, "23 14 123")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path, "--nonlocal-budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nonlocal-budget: expected a non-negative integer" in captured.err
+    assert main(["analyze", path, "--nonlocal-budget", "0"]) == 0
+
+
+def test_analyze_thirty_disjoint_pairs(tmp_path, capsys):
+    # 2^30 minimal covering sets, of which the scan reads the first 65
+    path = tmp_path / "pairs.code"
+    path.write_text(
+        "n=60\n" + "".join(f"{2 * i - 1} {2 * i}\n" for i in range(1, 31))
+    )
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nonlocal_obstructions"] == []
+    assert report["local_obstructions"] == []
+    assert report["max_intersection_complete"] is False
+
+
 def test_realize_builds_one_chamber_cover(tmp_path, capsys, monkeypatch):
     import convexcodes.realization as realization
 

@@ -8,7 +8,6 @@ from convexcodes import (
     Contractible,
     NotContractible,
     SimplicialComplex,
-    cone_complex,
     contractibility,
     covering_sets,
     link,
@@ -17,7 +16,6 @@ from convexcodes import (
     reduced_betti,
     replay_collapse,
     simplicial_complex,
-    survey_nonlocal_vs_local,
     word_mask,
 )
 import convexcodes.topology as topology
@@ -26,6 +24,7 @@ from oracles import (
     brute_covering_sets,
     brute_delta_faces,
     full_scan_local_obstructions,
+    levelwise_covering_sets,
     quadratic_collapse,
     quadratic_contractibility,
     sorted_pairs_nonlocal_obstructions,
@@ -133,11 +132,10 @@ def complexes(draw, max_n=5, max_words=5):
 @settings(max_examples=60, deadline=None)
 @given(complexes())
 def test_cone_law(k):
-    apex = k.n + 1
-    if apex > 16:
-        return
-    v = contractibility(cone_complex(k, apex))
-    assert isinstance(v, Contractible)
+    # the cone over k with a fresh apex vertex
+    apex = 1 << k.n
+    cone = SimplicialComplex(k.n + 1, frozenset(f | apex for f in k.facets))
+    assert isinstance(contractibility(cone), Contractible)
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,6 +274,32 @@ def test_covering_sets_empty_word():
     assert covering_sets(Code.from_compact(3, "0 1 12")) == []
 
 
+def test_covering_sets_match_levelwise_oracle():
+    # the pruned search against the enumeration of every minimal covering set
+    rng = random.Random(20261019)
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        words = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))}
+        if rng.random() < 0.05:
+            words.add(0)
+        c = Code(n, frozenset(words))
+        for limit in (1, 3, 10, 65, None):
+            assert covering_sets(c, limit) == levelwise_covering_sets(c, limit)
+
+
+def test_disjoint_pairs_closed_form():
+    # 30 disjoint pairs {2i-1, 2i}: the covering sets of size 30 are the 2^30
+    # transversals, the first 65 of them vary only the last 7 pairs, and each
+    # restricts the code to 30 isolated points
+    k = 30
+    c = Code(2 * k, frozenset(0b11 << 2 * i for i in range(k)))
+    first = [
+        sum(1 << (2 * i + (j >> (k - 1 - i) & 1)) for i in range(k)) for j in range(65)
+    ]
+    assert covering_sets(c, 65) == first
+    assert nonlocal_obstructions(c) == ()
+
+
 def test_nonlocal_obstruction_fixture():
     got = nonlocal_obstructions(Code.from_compact(4, "23 14 123"))
     pairs = {(o.sigma1, o.sigma2) for o in got}
@@ -328,16 +352,3 @@ def test_nonlocal_matches_sorted_pairs_oracle_beyond_the_cap():
                 assert nonlocal_obstructions(c, budget) == (
                     sorted_pairs_nonlocal_obstructions(c, budget)
                 )
-
-
-def test_survey_reports_but_never_asserts():
-    rng = random.Random(99)
-    codes = []
-    for _ in range(40):
-        n = rng.randint(3, 5)
-        words = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))}
-        codes.append(Code(n, frozenset(words)))
-    rows = survey_nonlocal_vs_local(codes, max_pair_budget=200)
-    for row in rows:
-        assert set(row) == {"code", "n", "nonlocal_pairs", "has_local", "undecided_links"}
-        assert row["nonlocal_pairs"] > 0
