@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     p.add_argument("cover_file")
     p.add_argument("--nondegen", action="store_true")
     p.add_argument("--invariance", action="store_true")
-    p.add_argument("--sample", type=int, default=None, metavar="N")
+    p.add_argument("--sample", type=_budget, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_cover_code)
 

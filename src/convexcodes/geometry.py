@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .codes import Code, word_key, word_label
+from .codes import MAX_NEURONS, Code, _submasks, word_key, word_label
 
 Vec = tuple[Fraction, ...]
 
@@ -709,11 +709,8 @@ def check_nondegeneracy(
     on_boundary = [c & ~i for c, i in zip(words.closure, words.interior)]
     candidates: set[int] = set()
     for touched in on_boundary:
-        sub = touched
-        while sub:
-            candidates.add(sub)
-            sub = (sub - 1) & touched
-    for sigma in sorted(candidates, key=word_key):
+        candidates.update(_submasks(touched))
+    for sigma in sorted(candidates - {0}, key=word_key):
         if any(w & sigma == sigma for w in words.exact):
             continue
         for ix, touched in enumerate(on_boundary):
@@ -986,6 +983,10 @@ def cover_from_text(text: str) -> PolyhedralCover:
                 ) from None
             if ambient_mode not in (AMBIENT_WHOLE, AMBIENT_UNION, "region"):
                 raise CoverParseError(ln, f"unknown ambient {ambient_mode!r}")
+            if not 1 <= n <= MAX_NEURONS:
+                raise CoverParseError(ln, f"n={n} outside 1..{MAX_NEURONS}")
+            if d < 0:
+                raise CoverParseError(ln, f"negative dimension d={d}")
             continue
         if line == "SET":
             if ambient_section is not None:
@@ -1021,7 +1022,10 @@ def cover_from_text(text: str) -> PolyhedralCover:
                 rel = toks[cut + 2]
                 if rel not in ("lt", "le"):
                     raise CoverParseError(ln, f"bad relation {rel!r}")
-                halfspaces.append(HalfSpace(normal, offset, rel == "lt"))
+                try:
+                    halfspaces.append(HalfSpace(normal, offset, rel == "lt"))
+                except ValueError as exc:
+                    raise CoverParseError(ln, str(exc)) from None
             elif toks[0] == "BALL":
                 if ball is not None:
                     raise CoverParseError(ln, "second BALL in one set")
@@ -1032,7 +1036,10 @@ def cover_from_text(text: str) -> PolyhedralCover:
                 rel = toks[d + 2]
                 if rel not in ("lt", "le"):
                     raise CoverParseError(ln, f"bad relation {rel!r}")
-                ball = Ball(center, radius, rel == "lt")
+                try:
+                    ball = Ball(center, radius, rel == "lt")
+                except ValueError as exc:
+                    raise CoverParseError(ln, str(exc)) from None
             else:
                 raise CoverParseError(ln, f"unknown directive {toks[0]!r}")
         return ConvexRegion(d, tuple(halfspaces), ball)

@@ -363,15 +363,13 @@ class PotentialCoverRealization:
 def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationCertificate]:
     """The closed convex cover V_i = conv{e_w : w contains i} and its code.
 
-    The achieved code is computed combinatorially: a non-empty word belongs
-    iff it equals the intersection of all non-empty codewords containing it,
-    and the empty word belongs iff no neuron lies in every non-empty
-    codeword.  Every achieved word gets an exact barycentric witness, kept
-    sparse in integers: sigma's is the barycentre of the vertices e_w of its
-    family {w : w contains sigma}, (len(family), 1 on each e_w), built in the
-    same pass over the family that finds its intersection, and the empty
-    word's is the barycentre of all dim vertices.  Each witness's membership
-    pattern is then verified by `_potential_word` in integer arithmetic.
+    The target is the intersection completion of the non-empty codewords.
+    Every target word sigma gets an exact barycentric witness, kept sparse in
+    integers: the barycentre of the vertices e_w of its family {w : w
+    contains sigma}, (len(family), 1 on each e_w).  The empty word's family
+    is every non-empty codeword.  The achieved code is what `_potential_word`
+    reads back at the witnesses in integer arithmetic, so the certificate
+    compares it with the completion.
     """
     if not code.words:
         raise ValueError("potential cover needs a non-empty code")
@@ -383,39 +381,26 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
         for i in range(1, code.n + 1)
     }
 
+    target = intersection_completion(Code(code.n, frozenset(nonempty)))
     witnesses: dict[int, SparsePoint] = {}
-    if nonempty:
-        candidates = simplicial_complex(Code(code.n, frozenset(nonempty))).faces()
-        for sigma in candidates:
-            if sigma == 0:
-                continue
-            family = [w for w in nonempty if w & sigma == sigma]
-            closure = family[0]
-            for w in family:
-                closure &= w
-            if closure == sigma:
-                witnesses[sigma] = (len(family), {basis_index[w]: 1 for w in family})
-        common = nonempty[0]
-        for w in nonempty:
-            common &= w
-        if common == 0:
-            witnesses[0] = (dim, dict.fromkeys(range(dim), 1))
+    for sigma in target.words:
+        family = [basis_index[w] for w in nonempty if w & sigma == sigma]
+        witnesses[sigma] = (len(family), dict.fromkeys(family, 1))
 
     vertex_sets_of = {i: set(v) for i, v in vertex_sets.items()}
-    sound = all(
-        _potential_word(point, vertex_sets_of) == sigma
-        for sigma, point in witnesses.items()
-    )
-    checks = [CheckRecord("witness-membership", sound, f"{len(witnesses)} witnesses")]
-
-    achieved = Code(code.n, frozenset(witnesses))
-    target = intersection_completion(Code(code.n, frozenset(nonempty))) if nonempty else Code(code.n, frozenset())
-    checks.append(
+    read = {sigma: _potential_word(point, vertex_sets_of) for sigma, point in witnesses.items()}
+    achieved = Code(code.n, frozenset(w for w in read.values() if w is not None))
+    checks = (
+        CheckRecord(
+            "witness-membership",
+            all(w == sigma for sigma, w in read.items()),
+            f"{len(witnesses)} witnesses",
+        ),
         CheckRecord(
             "achieved-is-completion",
             achieved.words == target.words,
             f"{len(achieved)} words",
-        )
+        ),
     )
     realization = PotentialCoverRealization(basis_index, vertex_sets, witnesses, dim)
     cert = RealizationCertificate(
@@ -424,7 +409,7 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
         method="potential",
         dimension=dim,
         ambient=AMBIENT_UNION,
-        checks=tuple(checks),
+        checks=checks,
         cover=None,
     )
     return realization, cert

@@ -565,11 +565,9 @@ def all_rows() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     return fixture_rows() + acceptance_rows()
 
 
-def run_suite(names: list[str] | None = None) -> list[FixtureResult]:
+def run_suite() -> list[FixtureResult]:
     results = []
     for name, fn in all_rows():
-        if names is not None and name not in names:
-            continue
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashing fixture is a failing fixture

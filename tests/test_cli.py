@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -388,3 +389,98 @@ def test_realize_checks_geometry_of_five_pairs(tmp_path, capsys):
     )
     assert "skipped" not in out and "valid: true\n" in out
     assert (tmp_path / "b" / "certificate.txt").read_text() == out
+
+
+@pytest.mark.parametrize(
+    "text, argv, line",
+    [
+        ("d=2 n=0 ambient=whole\n", [], 1),
+        ("d=0 n=65 ambient=whole\n" + "SET\n" * 65, [], 1),
+        ("d=-1 n=1 ambient=whole\nSET\n", [], 1),
+        ("d=2 n=1 ambient=whole\nSET\nH 0 0 : 1 lt\n", [], 3),
+        ("d=2 n=1 ambient=whole\nSET\nBALL 0 0 0 lt\n", ["--sample", "10"], 3),
+        ("d=1 n=1 ambient=whole\nSET\nH 1 : 1 lt\n", ["--sample", "-5"], None),
+    ],
+)
+def test_cover_code_malformed_input_exits_2(tmp_path, capsys, text, argv, line):
+    path = tmp_path / "bad.cover"
+    path.write_text(text)
+    try:
+        status = main(["cover-code", str(path), *argv])
+    except SystemExit as exc:  # argparse refuses the option
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    if line is None:
+        assert "--sample: expected a non-negative integer" in captured.err
+    else:
+        assert captured.err.startswith(f"parse error: line {line}: ")
+
+
+@st.composite
+def cover_texts(draw):
+    """A small valid cover file, then a few lines replaced, dropped or added."""
+    d = draw(st.integers(0, 2))
+    regions = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-1, 1), min_size=d, max_size=d).map(
+        lambda c: " ".join(map(str, c))
+    )
+    rel = st.sampled_from(["lt", "le"])
+    mutant = st.one_of(
+        st.builds("H {} : {} {}".format, coords, st.integers(-1, 1), rel),
+        st.builds("BALL {} {} {}".format, coords, st.integers(-1, 1), rel),
+        st.builds("d={} n={} ambient=union".format, st.integers(-1, 2), st.integers(0, 3)),
+        st.sampled_from(["SET", "AMBIENT", "H 1 : 1/0 le", "H x : 1 lt", "BALL", "Q"]),
+    )
+    lines = [f"d={d} n={regions} ambient={draw(st.sampled_from(['whole', 'union']))}"]
+    for _ in range(regions):
+        lines.append("SET")
+        for _ in range(draw(st.integers(0, 2)) if d else 0):
+            normal = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+            if not any(normal):
+                normal[0] = 1
+            offset = draw(st.integers(-2, 2))
+            lines.append(f"H {' '.join(map(str, normal))} : {offset} {draw(rel)}")
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add" or at == len(lines):
+            lines.insert(at, draw(mutant))
+        elif action == "drop":
+            del lines[at]
+        else:
+            lines[at] = draw(mutant)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    cover_texts(),
+    st.sampled_from([[], ["--nondegen", "--invariance"], ["--sample", "20"]]),
+)
+def test_cover_code_any_mutated_cover_exits_0_2_or_3(tmp_path, capsys, text, argv):
+    path = tmp_path / "fuzz.cover"
+    path.write_text(text)
+    status = main(["cover-code", str(path), *argv])
+    err = capsys.readouterr().err
+    assert status in (0, 2, 3)
+    assert (status == 2) == err.startswith("parse error: ")
+
+
+def test_realize_potential_on_a_forty_neuron_word(tmp_path, capsys):
+    # the words 1..40, 1 and 2 3: the face walk would visit 2^40 faces
+    path = tmp_path / "wide.code"
+    path.write_text("n=40\n" + " ".join(map(str, range(1, 41))) + "\n1\n2 3\n")
+    t0 = time.perf_counter()
+    assert main(["realize", str(path), "--method", "potential"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    completion = "0 1 2,3 " + ",".join(map(str, range(1, 41)))
+    assert f"target: {completion}" in lines
+    assert f"achieved: {completion}" in lines
+    assert "valid: true" in lines

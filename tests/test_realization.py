@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convexcodes import (
     AMBIENT_UNION,
@@ -444,6 +444,12 @@ def potential_codes(draw, max_n=7):
 
 @settings(max_examples=150, deadline=None)
 @given(potential_codes())
+# one wide word, with and without the empty word, and the empty word alone
+@example(Code(12, frozenset({(1 << 12) - 1, 1})))
+@example(Code(12, frozenset({(1 << 12) - 1, 0b110, 0b1000_0000_0001})))
+@example(Code(12, frozenset({(1 << 12) - 1, 0b110, 0})))
+@example(Code(11, frozenset({(1 << 11) - 1, 0})))
+@example(Code(3, frozenset({0})))
 def test_potential_cover_matches_dense_oracle(code):
     realz, cert = potential_cover(code)
     achieved, witnesses = dense_potential_cover(code)
@@ -456,6 +462,39 @@ def test_potential_cover_matches_dense_oracle(code):
         assert _potential_word(realz.witnesses[sigma], vertex_sets) == sigma
     dense_realz = dataclasses.replace(realz, witnesses=witnesses)
     assert _potential_text(realz, code.n) == dense_potential_text(dense_realz, code.n)
+
+
+def test_potential_cover_builds_no_faces(monkeypatch):
+    # the witnesses come from the completion, not from a walk of 2^40 faces
+    from convexcodes.codes import SimplicialComplex
+
+    def no_faces(self, budget=None):
+        raise AssertionError("faces() enumerated")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", no_faces)
+    wide = (1 << 40) - 1
+    realz, cert = potential_cover(Code(40, frozenset({wide, 1, 0b110})))
+    assert cert.valid and cert.achieved.words == {wide, 1, 0b110, 0}
+    assert realz.witnesses[0] == (3, {0: 1, 1: 1, 2: 1})
+
+
+def test_potential_cover_checks_catch_a_misread_witness(monkeypatch):
+    # the achieved code is read back at the witnesses, so one misread word
+    # fails both checks
+    read = realization._potential_word
+    full = word_mask([1, 2])
+
+    def misread(point, vertex_sets):
+        word = read(point, vertex_sets)
+        return word_mask([1]) if word == full else word
+
+    monkeypatch.setattr(realization, "_potential_word", misread)
+    _, cert = potential_cover(compact(2, "1 2 12"))
+    assert {c.name: c.passed for c in cert.checks} == {
+        "witness-membership": False,
+        "achieved-is-completion": False,
+    }
+    assert not cert.valid
 
 
 def test_potential_cover_random_oracle():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,7 +120,31 @@ def test_contractibility_rejects_void():
 
 def test_empty_face_complex_not_contractible():
     v = contractibility(SimplicialComplex(2, frozenset({0})))
-    assert isinstance(v, NotContractible) and v.degree == -1
+    assert v == NotContractible(degree=-1, betti=1)
+
+
+def test_components_certify_a_disconnected_complex(monkeypatch):
+    def no_faces(self, budget=None):
+        raise AssertionError("faces() enumerated")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", no_faces)
+    # three components: a path 1-2-3, the edge 45 and the vertex 6
+    k = cx(6, [1, 2], [2, 3], [4, 5], [6])
+    assert contractibility(k) == NotContractible(degree=0, betti=2)
+    monkeypatch.undo()
+    assert reduced_betti(k).reduced == (2,)
+
+
+def test_two_disjoint_simplices_link_decided_from_facets():
+    # {[m+1], {1, m+2..2m+1}} with m = 20: the link at 1 is two disjoint
+    # 20-simplices, 2^21 faces, past the face budget
+    m = 20
+    code = Code(2 * m + 1, frozenset({(1 << (m + 1)) - 1, ((1 << m) - 1) << (m + 1) | 1}))
+    t0 = time.perf_counter()
+    scan = local_obstructions(code)
+    assert time.perf_counter() - t0 < 0.1
+    assert [(o.sigma, o.verdict) for o in scan.found] == [(1, NotContractible(0, 1))]
+    assert not scan.undecided
 
 
 @st.composite
@@ -252,9 +277,10 @@ def test_local_scan_skips_cone_links(monkeypatch):
     scan = local_obstructions(Code(20, frozenset({(1 << 20) - 1, 1})))
     assert scan.certifies_no_local_obstruction()
     assert calls == {"faces": 0, "contractibility": 0}
-    # the counters do count: a code with a local obstruction builds its link
-    local_obstructions(Code.from_compact(3, "0 1 2 13 23"))
-    assert calls["contractibility"] == 1 and calls["faces"] >= 1
+    # the counters do count: the link at 4 of 124 134 234 is a hollow
+    # triangle, connected and obstructed, so its faces are built
+    local_obstructions(Code.from_compact(4, "124 134 234"))
+    assert calls["contractibility"] == 4 and calls["faces"] >= 1
 
 
 # ---------------------------------------------------------------------------
