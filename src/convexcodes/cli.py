@@ -2,7 +2,8 @@
 
 Subcommands: analyze, realize, cover-code, verify-paper.  Exit codes are a
 stable contract: 0 success, 1 domain verdict (realization not applicable or
-a failing verification row), 2 parse error, 3 capability error.
+a failing verification row), 2 parse error or conflicting options, 3
+capability error.
 """
 
 from __future__ import annotations
@@ -372,14 +373,14 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("realize", help="construct a verified convex realization")
+    realize_parser = p = sub.add_parser("realize", help="construct a verified convex realization")
     p.add_argument("code_file")
     p.add_argument("--method", choices=["chamber", "potential"], default="chamber")
     p.add_argument("--ambient", choices=["whole", "union"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_realize)
 
-    p = sub.add_parser("cover-code", help="exact or sampled code of a cover file")
+    cover_parser = p = sub.add_parser("cover-code", help="exact or sampled code of a cover file")
     p.add_argument("cover_file")
     p.add_argument("--nondegen", action="store_true")
     p.add_argument("--invariance", action="store_true")
@@ -392,6 +393,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify_paper)
 
     args = parser.parse_args(argv)
+    # options that would be ignored are refused, so no skipped check looks passed
+    if args.command == "realize" and args.method == "potential" and args.ambient == "whole":
+        realize_parser.error("--method potential builds a cover of ambient union only")
+    if args.command == "cover-code" and args.sample is not None:
+        if args.nondegen or args.invariance:
+            cover_parser.error("--nondegen and --invariance need the exact code, not --sample")
     return args.fn(args)
 
 

@@ -169,17 +169,6 @@ class SimplicialComplex:
                     )
         return out
 
-    def dim(self) -> int:
-        if not self.facets:
-            return -2  # void complex, below even the empty face
-        return max(f.bit_count() for f in self.facets) - 1
-
-    def vertices(self) -> tuple[int, ...]:
-        m = 0
-        for f in self.facets:
-            m |= f
-        return word_neurons(m)
-
 
 class FaceBudgetError(RuntimeError):
     pass

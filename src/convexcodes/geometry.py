@@ -20,7 +20,7 @@ integers over a common denominator and classified exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -57,10 +57,6 @@ class NonFullDimensionalRegionError(ValueError):
         )
         self.region_index = region_index
         self.certificate = certificate
-
-
-def vec(*xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
@@ -375,7 +371,6 @@ class Cell:
 
     signs: tuple[int, ...]
     witness: Vec
-    codeword: int | None = None
 
     @property
     def full_dim(self) -> bool:
@@ -645,7 +640,7 @@ def code_of_cover(
     """
     words = _classify(cover, cells)
     atlas = {
-        w: tuple(replace(words.cells[ix], codeword=w) for ix in ixs)
+        w: tuple(words.cells[ix] for ix in ixs)
         for w, ixs in words.atlas(words.exact).items()
     }
     return Code(cover.n, frozenset(atlas)), atlas

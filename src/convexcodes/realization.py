@@ -17,7 +17,6 @@ misses.  That makes the half-space code the abstract chamber code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 from .codes import (
@@ -41,6 +40,7 @@ from .geometry import (
     PolyhedralCover,
     code_of_cover,
 )
+from .topology import _hitting_sets
 
 
 @dataclass(frozen=True)
@@ -496,12 +496,18 @@ def realize(code: Code, ambient: str | None = None):
 def _missing_intersection(
     code: Code, maxima: list[int], completion: Code
 ) -> NotApplicable:
-    missing = sorted(completion.words - code.words, key=word_key)[0]
-    for size in range(2, len(maxima) + 1):
-        for combo in combinations(maxima, size):
-            inter = combo[0]
-            for w in combo[1:]:
-                inter &= w
-            if inter == missing:
-                return NotApplicable(missing, tuple(combo))
-    raise AssertionError("missing word must arise as an intersection")
+    """The first missing word w and the first smallest family of maxima that
+    meets in w.  Only the maxima that contain w take part, and a family of
+    them meets in w iff each neuron outside w is missed by some member: a
+    hitting set of the masks of the members that miss each such neuron.
+    """
+    missing = min(completion.words - code.words, key=word_key)
+    members = [m for m in maxima if m & missing == missing]
+    misses = {
+        sum(1 << a for a, m in enumerate(members) if not m >> j & 1)
+        for j in range(code.n)
+        if not missing >> j & 1
+    }
+    # word_key takes masks below 2^64 only, and there may be more members
+    (pick,) = _hitting_sets(len(members), sorted(misses, key=int.bit_count), 1)
+    return NotApplicable(missing, tuple(m for a, m in enumerate(members) if pick >> a & 1))

@@ -7,7 +7,8 @@ is three-valued: a disconnected facet graph or a non-zero reduced Betti
 number certifies NotContractible, a cone apex or a replayable collapse
 sequence certifies Contractible, and everything else is Unknown.  The
 components are read from the facets alone, so a disconnected complex is
-decided without building a face.
+decided without building a face.  Otherwise one budgeted face list, in
+`word_key` order, feeds both the boundary ranks and the collapse search.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .codes import (
 )
 
 COLLAPSE_RESTARTS = 32
-FACE_BUDGET = 1 << 20  # faces `reduced_betti` builds before it gives up
+FACE_BUDGET = 1 << 20  # faces a face walk builds before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -73,43 +74,42 @@ def _rank_gf2(columns: list[int]) -> int:
     return rank
 
 
+def _sorted_faces(K: SimplicialComplex) -> list[int]:
+    """The faces, within FACE_BUDGET, in `word_key` order: by size, the empty face first."""
+    # The order changes no rank, but it keeps the GF(2) elimination sparse:
+    # unsorted, the fill-in slows large links by about half again.
+    return sorted(K.faces(budget=FACE_BUDGET), key=word_key)
+
+
 def reduced_betti(K: SimplicialComplex) -> BettiProfile:
     """Reduced GF(2) Betti numbers of a complex, from boundary ranks."""
     if not K.facets:
         return BettiProfile(0, ())
-    faces = K.faces(budget=FACE_BUDGET)
-    by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    top = max(by_dim)
-    # The order changes no rank, but it keeps the GF(2) elimination sparse:
-    # unsorted, the fill-in slows large links by about half again.
-    for d in by_dim:
-        by_dim[d].sort(key=word_key)
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
+    return _betti_of_faces(_sorted_faces(K))
 
-    def boundary_rank(d: int) -> int:
-        # columns are d-faces, rows are (d-1)-faces
-        if d not in by_dim or (d - 1) not in by_dim:
-            return 0
-        rows = index[d - 1]
+
+def _betti_of_faces(faces: list[int]) -> BettiProfile:
+    """Reduced Betti numbers from the faces of a complex in `word_key` order."""
+    top = faces[-1].bit_count()
+    # faces[starts[s]:starts[s + 1]] are the faces of size s
+    starts = [bisect_left(faces, s, key=int.bit_count) for s in range(top + 2)]
+    index = {f: i for i, f in enumerate(faces)}
+    ranks = [0]  # ranks[s]: rank of the boundary map from size s to size s - 1
+    for s in range(1, top + 1):
+        # columns are the faces of size s, rows those of size s - 1
+        row0 = starts[s - 1]
         cols = []
-        for f in by_dim[d]:
+        for f in faces[starts[s] : starts[s + 1]]:
             col = 0
             for i in word_neurons(f):
-                col |= 1 << rows[f & ~(1 << (i - 1))]
+                col |= 1 << (index[f & ~(1 << (i - 1))] - row0)
             cols.append(col)
-        return _rank_gf2(cols)
-
-    ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
-    ranks[top + 1] = 0
-    minus_one = 1 - ranks.get(0, 0)
-    betti = [
-        len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(0, top + 1)
-    ]
+        ranks.append(_rank_gf2(cols))
+    ranks.append(0)
+    betti = [starts[s + 1] - starts[s] - ranks[s] - ranks[s + 1] for s in range(1, top + 1)]
     while betti and betti[-1] == 0:
         betti.pop()
-    return BettiProfile(minus_one, tuple(betti))
+    return BettiProfile(1 - ranks[1], tuple(betti))
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +161,34 @@ def _components(K: SimplicialComplex) -> int:
     return len(spans)
 
 
-def _try_collapse(faces: Iterable[int], rng: random.Random) -> tuple[tuple[int, int], ...] | None:
+def _try_collapse(faces: list[int], rng: random.Random) -> tuple[tuple[int, int], ...] | None:
     """Greedy free-face collapse; returns the removal sequence on success.
 
-    `faces` are the non-empty faces of a complex.  While the live faces form
+    `faces` are the faces of a complex in `word_key` order, so the empty
+    face comes first; it takes no part.  While the live faces form
     a complex, a face has exactly one proper coface iff it has exactly one
     codimension-1 coface, so only those are counted, and an elementary
     collapse changes the counts of the facets of the removed pair alone.
     Each step draws from the free faces in `word_key` order; a free face
     fixes its coface, so this is the order of the (face, coface) pairs.
     """
-    order = sorted(faces, key=word_key)
-    rank = {f: r for r, f in enumerate(order)}
-    cofaces = dict.fromkeys(order, 0)  # live codimension-1 cofaces
-    for g in order:
+    rank = {f: r for r, f in enumerate(faces)}
+    cofaces = dict.fromkeys(faces, 0)  # live codimension-1 cofaces
+    for g in faces:
         for i in word_neurons(g):
-            h = g & ~(1 << (i - 1))
-            if h:
-                cofaces[h] += 1
-    free = [r for r, f in enumerate(order) if cofaces[f] == 1]  # ranks, sorted
+            cofaces[g & ~(1 << (i - 1))] += 1
+    cofaces[0] = -1  # the empty face counts as removed
+    free = [r for r, f in enumerate(faces) if cofaces[f] == 1]  # ranks, sorted
     span = 0
-    for f in order:
+    for f in faces:
         span |= f
     span_bits = [1 << (i - 1) for i in word_neurons(span)]
-    live = len(order)
+    live = len(faces) - 1
     seq: list[tuple[int, int]] = []
     while live > 1:
         if not free:
             return None
-        f = order[free[rng.randrange(len(free))]]
+        f = faces[free[rng.randrange(len(free))]]
         g = next(f | b for b in span_bits if not f & b and cofaces.get(f | b, -1) >= 0)
         seq.append((f, g))
         live -= 2
@@ -200,15 +199,15 @@ def _try_collapse(faces: Iterable[int], rng: random.Random) -> tuple[tuple[int, 
             cofaces[dead] = -1  # removed
             for i in word_neurons(dead):
                 h = dead & ~(1 << (i - 1))
-                c = cofaces.get(h, -1)
-                if c <= 0:
-                    continue  # the empty face, or removed
+                c = cofaces[h]
+                if c < 0:
+                    continue  # the empty face
                 cofaces[h] = c - 1
                 if c == 2:
                     insort(free, rank[h])
                 elif c == 1:
                     del free[bisect_left(free, rank[h])]
-    (last,) = (f for f in order if cofaces[f] >= 0)
+    (last,) = (f for f in faces if cofaces[f] >= 0)
     if last.bit_count() != 1:
         return None
     return tuple(seq)
@@ -216,7 +215,7 @@ def _try_collapse(faces: Iterable[int], rng: random.Random) -> tuple[tuple[int, 
 
 def replay_collapse(K: SimplicialComplex, seq: Iterable[tuple[int, int]]) -> bool:
     """Check that a collapse sequence is valid and ends in a single vertex."""
-    live = {f for f in K.faces() if f != 0}
+    live = K.faces(budget=FACE_BUDGET) - {0}
     for f, g in seq:
         if f not in live or g not in live:
             return False
@@ -238,7 +237,8 @@ def contractibility(
     Checks, in order: cone apex; c > 1 components of the facet graph, which
     is the reduced Betti number beta_0 = c - 1 without a face built; a
     non-zero reduced Betti number; greedy free-face collapses with seeded
-    random restarts.
+    random restarts.  The ranks and the collapses read one face list, built
+    once within FACE_BUDGET.
     """
     if not K.facets:
         raise ValueError("contractibility of the void complex is undefined")
@@ -248,13 +248,13 @@ def contractibility(
     components = _components(K)
     if components > 1:
         return NotContractible(degree=0, betti=components - 1)
-    profile = reduced_betti(K)
+    faces = _sorted_faces(K)
+    profile = _betti_of_faces(faces)
     if profile.minus_one:
         return NotContractible(degree=-1, betti=profile.minus_one)
     for d, b in enumerate(profile.reduced):
         if b:
             return NotContractible(degree=d, betti=b)
-    faces = {f for f in K.faces() if f != 0}
     for attempt in range(restarts):
         rng = random.Random((seed << 16) + attempt)
         seq = _try_collapse(faces, rng)
@@ -329,19 +329,26 @@ def local_obstructions(code: Code) -> LocalScan:
 def covering_sets(code: Code, limit: int | None = None) -> list[int]:
     """The first `limit` covering subsets (all if None), in `word_key` order.
 
-    A covering subset meets every codeword.  One depth-first search per size
-    adds neurons in increasing order, which within a size is lexicographic
-    order.  A branch is cut when an unhit word has no neuron left to add, or
-    when a greedy packing of the unhit words, cut down to the addable
-    neurons, holds more pairwise-disjoint words than neurons may still be
-    added: each of those words needs a neuron of its own.
+    A covering subset meets every codeword.
     """
     if 0 in code.words or not code.words:
         return []
-    n = code.n
+    return _hitting_sets(code.n, sorted(code.words, key=word_key), limit)
+
+
+def _hitting_sets(n: int, words: list[int], limit: int | None) -> list[int]:
+    """The first `limit` subsets of [n] (all if None) that meet every word,
+    by size and then lexicographically.
+
+    One depth-first search per size adds elements in increasing order.  A
+    branch is cut when an unhit word has no element left to add, or when a
+    greedy packing of the unhit words (in the given order), cut down to the
+    addable elements, holds more pairwise-disjoint words than elements may
+    still be added: each of those words needs an element of its own.
+    """
 
     def grow(chosen: int, first: int, left: int, unhit: list[int]) -> Iterator[int]:
-        # `left` more neurons, drawn from first..n
+        # `left` more elements, drawn from first..n
         if not left:
             if not unhit:
                 yield chosen
@@ -361,7 +368,6 @@ def covering_sets(code: Code, limit: int | None = None) -> list[int]:
             bit = 1 << (i - 1)
             yield from grow(chosen | bit, i + 1, left - 1, [w for w in unhit if not w & bit])
 
-    words = sorted(code.words, key=word_key)
     found = chain.from_iterable(grow(0, 1, size, words) for size in range(1, n + 1))
     return list(islice(found, limit))
 

@@ -199,22 +199,18 @@ def random_code(rng: random.Random, n: int, max_words: int, allow_empty: bool = 
     return Code(n, frozenset(words))
 
 
-def random_code_with_few_maxima(
-    rng: random.Random, max_n: int = 7, max_k: int = 5
-) -> Code:
+def random_code_with_few_maxima(rng: random.Random) -> Code:
     while True:
-        n = rng.randint(2, max_n)
+        n = rng.randint(2, 7)
         c = random_code(rng, n, max_words=rng.randint(1, 10))
-        if len(maximal_codewords(c)) <= max_k:
+        if len(maximal_codewords(c)) <= 5:
             return c
 
 
-def random_max_complete_code(
-    rng: random.Random, max_n: int = 7, max_k: int = 5
-) -> Code:
+def random_max_complete_code(rng: random.Random) -> Code:
     """Completion of a small antichain plus random extra faces below it."""
-    n = rng.randint(2, max_n)
-    seeds = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, max_k))}
+    n = rng.randint(2, 7)
+    seeds = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 5))}
     maxima = maximal_codewords(Code(n, frozenset(seeds)))
     base = intersection_completion(Code(n, maxima))
     words = set(base.words)
@@ -226,9 +222,9 @@ def random_max_complete_code(
     return Code(n, frozenset(words))
 
 
-def random_monotone_pair(rng: random.Random, max_n: int = 6) -> tuple[Code, Code]:
+def random_monotone_pair(rng: random.Random) -> tuple[Code, Code]:
     """A code C and a superset D of faces below the same maximal words."""
-    n = rng.randint(2, max_n)
+    n = rng.randint(2, 6)
     c = random_code(rng, n, max_words=rng.randint(1, 8))
     complex_ = simplicial_complex(c)
     maxima = maximal_codewords(c)
@@ -420,8 +416,8 @@ def criterion_3_counterexample_codes() -> tuple[bool, str]:
     return ok6 and ok5, "both counterexample codes behave as documented"
 
 
-def criterion_4_chamber_roundtrip(trials: int = 200, seed: int = 1404) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def criterion_4_chamber_roundtrip() -> tuple[bool, str]:
+    trials, rng = 200, random.Random(1404)
     enumerated = 0
     for t in range(trials):
         c = random_code_with_few_maxima(rng)
@@ -451,8 +447,8 @@ def criterion_4_chamber_roundtrip(trials: int = 200, seed: int = 1404) -> tuple[
     return True, f"{trials} codes certified, {enumerated} also by cell enumeration"
 
 
-def criterion_5_realize_roundtrip(trials: int = 100, seed: int = 1405) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def criterion_5_realize_roundtrip() -> tuple[bool, str]:
+    trials, rng = 100, random.Random(1405)
     for t in range(trials):
         c = random_max_complete_code(rng)
         k = len(maximal_codewords(c))
@@ -468,14 +464,14 @@ def criterion_5_realize_roundtrip(trials: int = 100, seed: int = 1405) -> tuple[
     return True, f"{trials} max intersection-complete codes realized"
 
 
-def criterion_6_monotonicity(trials: int = 200, seed: int = 1406) -> tuple[bool, str]:
+def criterion_6_monotonicity() -> tuple[bool, str]:
     cover = nested_interval_cover()
     base = abstract_from_cover(cover)
     target = Code(3, frozenset(simplicial_complex(abstract_code(base)).faces()))
     extended = monotone_extend(base, target)
     if abstract_code(extended).words != target.words:
         return False, "nested-interval extension missed the full face code"
-    rng = random.Random(seed)
+    trials, rng = 200, random.Random(1406)
     for t in range(trials):
         c, d = random_monotone_pair(rng)
         a = finite_realization(c)
@@ -485,8 +481,8 @@ def criterion_6_monotonicity(trials: int = 200, seed: int = 1406) -> tuple[bool,
     return True, f"nested-interval case plus {trials} random pairs, all exact"
 
 
-def criterion_7_potential_cover(trials: int = 200, seed: int = 1407) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def criterion_7_potential_cover() -> tuple[bool, str]:
+    trials, rng = 200, random.Random(1407)
     for t in range(trials):
         n = rng.randint(2, 6)
         c = random_code(rng, n, max_words=12, allow_empty=False)

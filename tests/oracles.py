@@ -11,9 +11,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from convexcodes import (
+    BettiProfile,
+    Code,
     Contractible,
     LocalObstruction,
     NonlocalObstruction,
+    NotApplicable,
     NotContractible,
     Unknown,
     link,
@@ -21,7 +24,7 @@ from convexcodes import (
     restrict,
     simplicial_complex,
 )
-from convexcodes.topology import LocalScan, cone_apex
+from convexcodes.topology import LocalScan, _rank_gf2, cone_apex
 
 
 def submasks(mask: int):
@@ -836,3 +839,70 @@ def per_region_cover_to_text(cover) -> str:
         lines.append("AMBIENT")
         emit_region(cover.ambient)
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The not-applicable witness that tries every subfamily of the maximal words
+# by size, and the Betti numbers read from one sorted face list per
+# dimension.  The hitting-set witness and the ranks read from the runs of
+# one sorted face list must match them exactly.
+
+
+def combinations_missing_intersection(code, maxima, completion):
+    """The first missing word and the first smallest subfamily of `maxima`
+    (as ordered) that meets in it."""
+    missing = sorted(completion.words - code.words, key=tuple_word_key)[0]
+    for size in range(2, len(maxima) + 1):
+        for combo in combinations(maxima, size):
+            inter = combo[0]
+            for w in combo[1:]:
+                inter &= w
+            if inter == missing:
+                return NotApplicable(missing, tuple(combo))
+    raise AssertionError("missing word must arise as an intersection")
+
+
+def sunflower_code():
+    """n=64: the ten words {11} + ([10] - {a}), every intersection of two or
+    more of them but {11}, the pairs {12,13}, ..., {62,63} and the empty word.
+
+    Only all ten words meet in the missing {11}, so a search of subfamilies
+    by size walks about 1.3e8 families of the 36 maximal words first.
+    """
+    petals = [(1 << 10) | (1023 & ~(1 << (a - 1))) for a in range(1, 11)]
+    words = {(1 << 10) | s for s in range(1, 1024) if s.bit_count() <= 8}
+    words |= {3 << (j - 1) for j in range(12, 63, 2)}
+    return Code(64, frozenset(words | set(petals) | {0}))
+
+
+def per_dimension_reduced_betti(K):
+    """`reduced_betti` with one face list and one row index per dimension."""
+    if not K.facets:
+        return BettiProfile(0, ())
+    by_dim = {}
+    for f in K.faces():
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    top = max(by_dim)
+    for d in by_dim:
+        by_dim[d].sort(key=tuple_word_key)
+    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
+
+    def boundary_rank(d):
+        if d not in by_dim or (d - 1) not in by_dim:
+            return 0
+        rows = index[d - 1]
+        cols = []
+        for f in by_dim[d]:
+            col = 0
+            for i in bitwise_word_neurons(f):
+                col |= 1 << rows[f & ~(1 << (i - 1))]
+            cols.append(col)
+        return _rank_gf2(cols)
+
+    ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
+    ranks[top + 1] = 0
+    minus_one = 1 - ranks.get(0, 0)
+    betti = [len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(0, top + 1)]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return BettiProfile(minus_one, tuple(betti))

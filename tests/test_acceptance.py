@@ -66,22 +66,22 @@ def test_criterion_3_counterexample_codes():
 
 
 def test_criterion_4_chamber_roundtrip():
-    ok, detail = criterion_4_chamber_roundtrip(trials=200, seed=1404)
+    ok, detail = criterion_4_chamber_roundtrip()
     _report(4, "chamber-roundtrip", ok, detail)
 
 
 def test_criterion_5_realize_end_to_end():
-    ok, detail = criterion_5_realize_roundtrip(trials=100, seed=1405)
+    ok, detail = criterion_5_realize_roundtrip()
     _report(5, "realize-end-to-end", ok, detail)
 
 
 def test_criterion_6_monotonicity():
-    ok, detail = criterion_6_monotonicity(trials=200, seed=1406)
+    ok, detail = criterion_6_monotonicity()
     _report(6, "monotonicity", ok, detail)
 
 
 def test_criterion_7_potential_cover():
-    ok, detail = criterion_7_potential_cover(trials=200, seed=1407)
+    ok, detail = criterion_7_potential_cover()
     _report(7, "potential-cover", ok, detail)
 
 

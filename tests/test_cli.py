@@ -13,6 +13,7 @@ from convexcodes.verification import (
     five_neuron_code,
     six_neuron_code,
 )
+from oracles import sunflower_code
 
 
 def write_code(tmp_path, name, n, compact):
@@ -484,3 +485,35 @@ def test_realize_potential_on_a_forty_neuron_word(tmp_path, capsys):
     assert f"target: {completion}" in lines
     assert f"achieved: {completion}" in lines
     assert "valid: true" in lines
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cover-code", "F", "--sample", "100", "--nondegen"], "need the exact code"),
+        (["cover-code", "F", "--sample", "100", "--invariance"], "need the exact code"),
+        (["realize", "F", "--method", "potential", "--ambient", "whole"], "ambient union only"),
+    ],
+)
+def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv, message):
+    # refused before the input is read: no check may be skipped as if it passed
+    argv = [str(tmp_path / "missing") if a == "F" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and message in captured.err
+
+
+def test_analyze_sunflower_code(tmp_path, capsys):
+    # the not-applicable witness is all ten petals, the only family that
+    # meets in the missing word 11
+    path = tmp_path / "sunflower.code"
+    path.write_text(code_to_text(sunflower_code()))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert time.perf_counter() - t0 < 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["realization"]["missing"] == "11"
+    assert report["realization"]["witness"].count("∩") == 9

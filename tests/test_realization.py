@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -34,16 +35,24 @@ from convexcodes import (
 import convexcodes.realization as realization
 from convexcodes import Ball, ConvexRegion, HalfSpace
 from convexcodes.cli import _abstract_cover_text, _potential_text
-from convexcodes.realization import CheckRecord, _potential_word, _simplex_sides
+from convexcodes.codes import word_key
+from convexcodes.realization import (
+    CheckRecord,
+    _missing_intersection,
+    _potential_word,
+    _simplex_sides,
+)
 from oracles import (
     brute_chamber_checks,
     brute_completion,
     chamber_membership_by_filter,
+    combinations_missing_intersection,
     dense_potential_cover,
     dense_potential_text,
     dense_potential_word,
     pointwise_abstract_words,
     scan_abstract_cover_text,
+    sunflower_code,
 )
 
 
@@ -527,6 +536,42 @@ def test_realize_not_applicable_six_neuron():
     assert isinstance(out, NotApplicable)
     assert out.missing == word_mask([1])
     assert set(out.intersect_of) == {word_mask([1, 2, 3]), word_mask([1, 5, 6])}
+
+
+def _witness_both_ways(code):
+    maxima = sorted(maximal_codewords(code), key=word_key)
+    completion = intersection_completion(Code(code.n, frozenset(maxima)))
+    if completion.words <= code.words:
+        return None
+    got = _missing_intersection(code, maxima, completion)
+    assert got == combinations_missing_intersection(code, maxima, completion)
+    return got
+
+
+def test_witness_matches_combinations_oracle():
+    rng = random.Random(1609)
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(2, 10)
+        words = {rng.randrange(1 << n) for _ in range(rng.randint(2, 8))}
+        checked += _witness_both_ways(Code(n, frozenset(words))) is not None
+    # 70 distinct 8-subsets of [16] are all maximal: more than 64 members
+    # of the witness search, whose masks word_key would not take
+    words = set()
+    while len(words) < 70:
+        words.add(sum(1 << i for i in rng.sample(range(16), 8)))
+    got = _witness_both_ways(Code(16, frozenset(words)))
+    assert got.missing == 0
+
+
+def test_sunflower_witness_is_all_ten_petals():
+    t0 = time.perf_counter()
+    out = realize(sunflower_code())
+    assert time.perf_counter() - t0 < 1
+    assert isinstance(out, NotApplicable)
+    assert out.missing == word_mask([11])
+    petals = [word_mask({*range(1, 12)} - {a}) for a in range(1, 11)]
+    assert out.intersect_of == tuple(sorted(petals, key=word_key))
 
 
 def test_realize_simplicial_complex():

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convexcodes import (
     Code,
@@ -20,12 +20,14 @@ from convexcodes import (
     word_mask,
 )
 import convexcodes.topology as topology
+from convexcodes.codes import FaceBudgetError, word_key
 from convexcodes.topology import _try_collapse
 from oracles import (
     brute_covering_sets,
     brute_delta_faces,
     full_scan_local_obstructions,
     levelwise_covering_sets,
+    per_dimension_reduced_betti,
     quadratic_collapse,
     quadratic_contractibility,
     sorted_pairs_nonlocal_obstructions,
@@ -156,6 +158,40 @@ def complexes(draw, max_n=5, max_words=5):
 
 @settings(max_examples=60, deadline=None)
 @given(complexes())
+@example(SimplicialComplex(3, frozenset({0})))
+def test_betti_ranks_match_per_dimension_oracle(k):
+    assert reduced_betti(k) == per_dimension_reduced_betti(k)
+
+
+def test_contractibility_walks_the_faces_once(monkeypatch):
+    # the path 12, 23, 34: connected, no apex, contractible by collapses
+    k = cx(4, [1, 2], [2, 3], [3, 4])
+    walks = []
+    faces = SimplicialComplex.faces
+
+    def counted(self, budget=None):
+        walks.append(budget)
+        return faces(self, budget)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", counted)
+    v = contractibility(k)
+    assert walks == [topology.FACE_BUDGET]
+    assert v.collapse_sequence is not None
+    assert replay_collapse(k, v.collapse_sequence)
+
+
+def test_replay_collapse_keeps_the_face_budget(monkeypatch):
+    k = cx(4, [1, 2], [2, 3], [3, 4])  # 8 faces, the empty one included
+    seq = contractibility(k).collapse_sequence
+    monkeypatch.setattr(topology, "FACE_BUDGET", 7)
+    with pytest.raises(FaceBudgetError):
+        replay_collapse(k, seq)
+    monkeypatch.setattr(topology, "FACE_BUDGET", 8)
+    assert replay_collapse(k, seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
 def test_cone_law(k):
     # the cone over k with a fresh apex vertex
     apex = 1 << k.n
@@ -186,10 +222,11 @@ def test_verdict_certificates_sound(k):
 @given(complexes(max_n=8, max_words=8), st.integers(0, 1 << 16))
 def test_collapse_matches_quadratic_oracle(k, seed):
     # same rng draws, same free-face order: the same sequence, pair for pair
-    faces = brute_delta_faces(k.facets) - {0}
+    faces = brute_delta_faces(k.facets)
+    ordered = sorted(faces, key=word_key)
     for s in range(seed, seed + 3):
-        assert _try_collapse(faces, random.Random(s)) == quadratic_collapse(
-            faces, random.Random(s)
+        assert _try_collapse(ordered, random.Random(s)) == quadratic_collapse(
+            faces - {0}, random.Random(s)
         )
     assert contractibility(k, restarts=4, seed=seed % 5) == quadratic_contractibility(
         k, restarts=4, seed=seed % 5
