@@ -9,8 +9,9 @@ capability error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
 
@@ -76,9 +77,50 @@ def _profile_text(profile: dict) -> str:
     return "(" + ",".join(map(str, profile["reduced"])) + ")"
 
 
+def _json_text(value, pad: str = "", memo: dict | None = None) -> str:
+    """The bytes of `json.dumps(value, indent=2)` for str, int, bool, None,
+    lists and dicts with str keys; any other type raises TypeError.
+
+    A container's text is memoized on (id, pad), so a part that the value
+    shares at one depth is rendered once.  That is sound only while every
+    container stays alive and unchanged for the whole call.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if not isinstance(value, (list, dict)):
+        raise TypeError(f"{type(value).__name__} is not rendered as JSON")
+    if not value:
+        return "[]" if isinstance(value, list) else "{}"
+    memo = {} if memo is None else memo
+    key = (id(value), pad)
+    if key not in memo:
+        inner = pad + "  "
+        if isinstance(value, list):
+            items = [_json_text(v, inner, memo) for v in value]
+        elif all(isinstance(k, str) for k in value):
+            items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner, memo)}"
+                     for k, v in value.items()]
+        else:
+            raise TypeError("JSON object keys must be str")
+        opening, closing = "[]" if isinstance(value, list) else "{}"
+        memo[key] = f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+    return memo[key]
+
+
 def analysis_report(code: Code, nonlocal_budget: int) -> dict:
-    """All analysis facts in one dictionary; text output renders it 1:1."""
-    lab = lambda w: word_label(w, code.n)
+    """All analysis facts in one dictionary; text output renders it 1:1.
+
+    Each candidate set is labelled once.  Each distinct Betti profile is one
+    dict, shared by its obstructions, so the report is read-only.
+    """
+    lab = functools.cache(lambda w: word_label(w, code.n))
+    prof = functools.cache(_profile_json)
     complex_ = simplicial_complex(code)
     violators = sorted(simplicial_violators(code), key=word_key)
     scan = local_obstructions(code)
@@ -103,7 +145,8 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
         "n": code.n,
         "words": [lab(w) for w in code.sorted_words()],
         "delta_facets": [lab(f) for f in sorted(complex_.facets, key=word_key)],
-        "violators": [lab(v) for v in violators],
+        # distinct, and as many as the faces: a cache would only cost
+        "violators": [word_label(v, code.n) for v in violators],
         "local_obstructions": [
             {
                 "sigma": lab(o.sigma),
@@ -118,8 +161,8 @@ def analysis_report(code: Code, nonlocal_budget: int) -> dict:
             {
                 "sigma1": lab(o.sigma1),
                 "sigma2": lab(o.sigma2),
-                "profile1": _profile_json(o.profile1),
-                "profile2": _profile_json(o.profile2),
+                "profile1": prof(o.profile1),
+                "profile2": prof(o.profile2),
             }
             for o in nonlocal_
         ],
@@ -177,7 +220,7 @@ def cmd_analyze(args) -> int:
         print(f"over budget: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print(render_analysis(report), end="")
     return EXIT_OK

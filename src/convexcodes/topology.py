@@ -380,31 +380,28 @@ def nonlocal_obstructions(
 
     Pairs are examined in order of increasing total size, up to the budget.
     A Betti-profile inequality between the restricted complexes is a sound
-    witness that they are not homotopy equivalent.
+    witness that they are not homotopy equivalent.  Each candidate that a
+    kept pair touches is profiled once, and its profile is mapped to an
+    integer kind, so a pair is compared by its two kinds.
     """
     if 0 in code.words or not code.words:
         return ()
     # enough covering sets that the budgeted pair scan cannot starve
     cap = max(64, int((2 * max_pair_budget) ** 0.5) + 2)
     cands = covering_sets(code, limit=cap)
-    profiles: dict[int, BettiProfile] = {}
-
-    def profile(sigma: int) -> BettiProfile:
-        if sigma not in profiles:
-            profiles[sigma] = reduced_betti(simplicial_complex(restrict(code, sigma)))
-        return profiles[sigma]
-
     # cands are distinct and in word_key order, so indices order them
     size = [c.bit_count() for c in cands]
     pairs = sorted(
         (size[i] + size[j], i, j)
         for i in range(len(cands))
         for j in range(i + 1, len(cands))
+    )[:max_pair_budget]
+    touched = sorted({k for _, i, j in pairs for k in (i, j)})
+    profile = {i: reduced_betti(simplicial_complex(restrict(code, cands[i]))) for i in touched}
+    kinds: dict[BettiProfile, int] = {}
+    kind = {i: kinds.setdefault(p, i) for i, p in profile.items()}
+    return tuple(
+        NonlocalObstruction(cands[i], cands[j], profile[i], profile[j])
+        for _, i, j in pairs
+        if kind[i] != kind[j]
     )
-    found: list[NonlocalObstruction] = []
-    for _, i, j in pairs[:max_pair_budget]:
-        s1, s2 = cands[i], cands[j]
-        p1, p2 = profile(s1), profile(s2)
-        if p1 != p2:
-            found.append(NonlocalObstruction(s1, s2, p1, p2))
-    return tuple(found)

@@ -1,12 +1,13 @@
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from convexcodes import Code, classify_completeness, code_to_text, cover_to_text
-from convexcodes.cli import analysis_report, main
+from convexcodes import Code, classify_completeness, code_from_text, code_to_text, cover_to_text
+from convexcodes.cli import _json_text, analysis_report, main
 from convexcodes.verification import (
     closed_line_split_cover,
     five_neuron_closed_cover,
@@ -517,3 +518,35 @@ def test_analyze_sunflower_code(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["realization"]["missing"] == "11"
     assert report["realization"]["witness"].count("∩") == 9
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n∩é'), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**100), 2**100) | JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(JSON_TEXT, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_renders_a_shared_part_at_every_depth():
+    shared = {"a": [1, {}, []], "b": "x ∩ y"}
+    value = {"s": shared, "t": [shared, shared], "u": {"v": [shared, []]}}
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_matches_json_dumps_on_golden_reports():
+    for path in sorted((Path(__file__).parent / "golden").rglob("input.code")):
+        report = analysis_report(code_from_text(path.read_text()), nonlocal_budget=2000)
+        assert _json_text(report) == json.dumps(report, indent=2), path
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], (1,), {1}, {1: 2}, {"a": {(): 1}}])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from convexcodes import (
     nonlocal_obstructions,
     reduced_betti,
     replay_collapse,
+    restrict,
     simplicial_complex,
     word_mask,
 )
@@ -415,3 +417,30 @@ def test_nonlocal_matches_sorted_pairs_oracle_beyond_the_cap():
                 assert nonlocal_obstructions(c, budget) == (
                     sorted_pairs_nonlocal_obstructions(c, budget)
                 )
+
+
+def test_nonlocal_scan_profiles_each_touched_candidate_once(monkeypatch):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return reduced_betti(k)
+
+    monkeypatch.setattr(topology, "reduced_betti", counted)
+    heavy = [[1, 3], [3, 10], [1, 3, 6], [2, 4, 10], [3, 6, 7], [5, 8, 10], [2, 4, 5, 9],
+             [1, 2, 3, 6, 7], [2, 3, 4, 5, 10], [2, 4, 8, 9, 10], [1, 3, 4, 7, 9, 10],
+             [1, 2, 4, 5, 8, 9, 10], [2, 3, 4, 5, 8, 9, 10]]
+    for c in (Code.from_compact(4, "23 14 123"), Code(10, frozenset(map(word_mask, heavy)))):
+        for budget in (0, 1, 7, 300, 2000):
+            # the candidates that the first `budget` pairs, in the oracle's order, touch
+            cap = max(64, int((2 * budget) ** 0.5) + 2)
+            cands = levelwise_covering_sets(c, limit=cap)
+            pairs = sorted(
+                ((a, b) for i, a in enumerate(cands) for b in cands[i + 1:]),
+                key=lambda p: (p[0].bit_count() + p[1].bit_count(), word_key(p[0]), word_key(p[1])),
+            )
+            touched = {s for pair in pairs[:budget] for s in pair}
+            calls.clear()
+            nonlocal_obstructions(c, budget)
+            assert len(calls) == len(touched)  # so none at budget 0
+            assert Counter(calls) == Counter(simplicial_complex(restrict(c, s)) for s in touched)
