@@ -10,7 +10,7 @@ pure functions and safe to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 MAX_NEURONS = 64
 
@@ -255,18 +255,49 @@ def covers(sigma: int, code: Code) -> bool:
     return all(w & sigma for w in code.words)
 
 
-def intersection_completion(code: Code) -> Code:
-    """All intersections of non-empty subcodes.
+def closed_sets(words: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every intersection w of a non-empty subfamily of `words`, once each
+    in `word_key` order, as (w, family) with bit a of family set iff
+    words[a] contains w.  These are the closed sets of cl(X), the meet of
+    the words that hold X (Ganter's NextClosure).  The walk starts at the
+    meet of all words; any other closed Y covers a closed X and is cl(X | b)
+    for each b in Y - X, whose family is X's cut to the holders of b.  A
+    family fixes its set, so each is closed once.  Sets only grow, so a
+    popcount level is complete when it is sorted and yielded."""
+    if not words:
+        return
+    holders: dict[int, int] = {}  # neuron bit -> the indices of its words
+    bottom = -1
+    for a, w in enumerate(words):
+        bottom &= w
+        while w:
+            b = w & -w
+            holders[b] = holders.get(b, 0) | 1 << a
+            w ^= b
+    neurons = list(holders.items())
+    levels: list[dict[int, int]] = [{} for _ in range(len(neurons) + 1)]
+    levels[bottom.bit_count()][bottom] = (1 << len(words)) - 1
+    seen: set[int] = set()
+    for level in levels:
+        for x in sorted(level, key=word_key):
+            family = level[x]
+            yield x, family
+            if not family & (family - 1):
+                continue  # x is the one word that holds it, so no closed set lies above
+            cut = [(b, held) for b, h in neurons if not b & x and (held := h & family)]
+            for _, sub in cut:
+                if sub not in seen:
+                    seen.add(sub)
+                    meet = x
+                    for c, held in cut:
+                        if held & sub == sub:
+                            meet |= c
+                    levels[meet.bit_count()][meet] = sub
 
-    Built one word at a time: the completion of the words seen so far plus w
-    is the old completion, w itself and w meeting each old intersection.
-    The empty word enters whenever some intersection comes out empty.
-    """
-    words: set[int] = set()
-    for w in code.words:
-        words |= {w & c for c in words}
-        words.add(w)
-    return Code(code.n, frozenset(words))
+
+def intersection_completion(code: Code) -> Code:
+    """All intersections of non-empty subcodes."""
+    return Code(code.n, frozenset(w for w, _ in closed_sets(tuple(code.words))))
 
 
 @dataclass(frozen=True)
@@ -276,14 +307,9 @@ class CompletenessReport:
 
 
 def classify_completeness(code: Code) -> CompletenessReport:
-    """Check C = completion(C) and completion(M(C)) <= C."""
-    complete = intersection_completion(code).words == code.words
-    if code.words:
-        m = Code(code.n, maximal_codewords(code))
-        max_complete = intersection_completion(m).words <= code.words
-    else:
-        max_complete = True
-    return CompletenessReport(complete, max_complete)
+    """Check C = completion(C) and completion(M(C)) <= C, up to a missing word."""
+    walks = closed_sets(tuple(code.words)), closed_sets(tuple(maximal_codewords(code)))
+    return CompletenessReport(*(all(w in code.words for w, _ in walk) for walk in walks))
 
 
 def abstract_code(cover: AbstractCover) -> Code:

@@ -24,7 +24,7 @@ from .codes import (
     Code,
     _submasks,
     abstract_code,
-    intersection_completion,
+    closed_sets,
     maximal_codewords,
     simplicial_complex,
     word_key,
@@ -153,15 +153,13 @@ def max_int_realization(
     )
     geometric = PolyhedralCover(d, regions, ambient)
 
-    completion = intersection_completion(Code(code.n, frozenset(maxima)))
+    # the padding's empty words put 0 in the whole-space target
+    target_words = {w for w, _ in closed_sets(words)}
     if ambient == AMBIENT_WHOLE:
-        target_words = set(completion.words)
-        if padding:
-            target_words.add(0)
         achieved = achieved_whole
         cert_cover = abstract
     else:
-        target_words = completion.words - {0}
+        target_words.discard(0)
         achieved = achieved_union
         covered = frozenset().union(*membership.values())
         cert_cover = AbstractCover(code.n, points, membership, covered)
@@ -381,11 +379,12 @@ def potential_cover(code: Code) -> tuple[PotentialCoverRealization, RealizationC
         for i in range(1, code.n + 1)
     }
 
-    target = intersection_completion(Code(code.n, frozenset(nonempty)))
-    witnesses: dict[int, SparsePoint] = {}
-    for sigma in target.words:
-        family = [basis_index[w] for w in nonempty if w & sigma == sigma]
-        witnesses[sigma] = (len(family), dict.fromkeys(family, 1))
+    # bit a of a family is coordinate a: `nonempty` is in basis order
+    witnesses: dict[int, SparsePoint] = {
+        sigma: (family.bit_count(), {a - 1: 1 for a in word_neurons(family)})
+        for sigma, family in closed_sets(nonempty)
+    }
+    target = Code(code.n, frozenset(witnesses))
 
     vertex_sets_of = {i: set(v) for i, v in vertex_sets.items()}
     read = {sigma: _potential_word(point, vertex_sets_of) for sigma, point in witnesses.items()}
@@ -453,9 +452,9 @@ def realize(code: Code, ambient: str | None = None):
     outside every set.
     """
     maxima = sorted(maximal_codewords(code), key=word_key)
-    completion = intersection_completion(Code(code.n, frozenset(maxima)))
-    if not completion.words <= code.words:
-        return _missing_intersection(code, maxima, completion)
+    for w, family in closed_sets(maxima):
+        if w not in code.words:
+            return _missing_intersection(code, maxima, w, family)
     if ambient is None:
         ambient = AMBIENT_WHOLE if 0 in code.words else AMBIENT_UNION
     elif ambient == AMBIENT_UNION and 0 in code.words:
@@ -494,15 +493,14 @@ def realize(code: Code, ambient: str | None = None):
 
 
 def _missing_intersection(
-    code: Code, maxima: list[int], completion: Code
+    code: Code, maxima: list[int], missing: int, family: int
 ) -> NotApplicable:
-    """The first missing word w and the first smallest family of maxima that
-    meets in w.  Only the maxima that contain w take part, and a family of
-    them meets in w iff each neuron outside w is missed by some member: a
-    hitting set of the masks of the members that miss each such neuron.
-    """
-    missing = min(completion.words - code.words, key=word_key)
-    members = [m for m in maxima if m & missing == missing]
+    """The first smallest family of maxima that meets in the missing word.
+    Only the maxima that contain it, bit a of `family` for maxima[a], take
+    part, and a family of them meets in the word iff each neuron outside it
+    is missed by some member: a hitting set of the masks of the members
+    that miss each such neuron."""
+    members = [m for a, m in enumerate(maxima) if family >> a & 1]
     misses = {
         sum(1 << a for a, m in enumerate(members) if not m >> j & 1)
         for j in range(code.n)

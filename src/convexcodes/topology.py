@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .codes import (
     Code,
     SimplicialComplex,
-    intersection_completion,
+    closed_sets,
     link,
     restrict,
     simplicial_complex,
@@ -312,11 +312,12 @@ def local_obstructions(code: Code) -> LocalScan:
     every facet of the link at sigma.  That link is a cone, so contractible,
     and the result equals a scan of every violator.
     """
-    facets = simplicial_complex(code).facets
-    candidates = intersection_completion(Code(code.n, facets)).words - code.words
+    facets = tuple(simplicial_complex(code).facets)
     found: list[LocalObstruction] = []
     undecided: list[int] = []
-    for sigma in sorted(candidates - {0}, key=word_key):
+    for sigma, _ in closed_sets(facets):
+        if not sigma or sigma in code.words:
+            continue
         link_cx = simplicial_complex(link(code, sigma))
         verdict = contractibility(link_cx)
         if isinstance(verdict, NotContractible):

@@ -313,6 +313,18 @@ def fixpoint_completion(words) -> set[int]:
     return out
 
 
+def incremental_completion(words) -> set[int]:
+    """The completion built one word at a time: the completion of the words
+    seen so far plus w is the old completion, w itself and w meeting each
+    old intersection.  The empty word enters whenever some intersection
+    comes out empty."""
+    out: set[int] = set()
+    for w in words:
+        out |= {w & c for c in out}
+        out.add(w)
+    return out
+
+
 def pointwise_abstract_words(cover) -> set[int]:
     """The word of every ambient point, read off by asking each neuron."""
     out = set()
@@ -873,6 +885,12 @@ def sunflower_code():
     words = {(1 << 10) | s for s in range(1, 1024) if s.bit_count() <= 8}
     words |= {3 << (j - 1) for j in range(12, 63, 2)}
     return Code(64, frozenset(words | set(petals) | {0}))
+
+
+def complement_code(k):
+    """n = k: the k words [k] - {a}.  Their meet, the empty word, is missing,
+    and their completion holds all 2^k - 1 proper subsets of [k]."""
+    return Code(k, frozenset(((1 << k) - 1) ^ (1 << a) for a in range(k)))
 
 
 def per_dimension_reduced_betti(K):

@@ -14,7 +14,7 @@ from convexcodes.verification import (
     five_neuron_code,
     six_neuron_code,
 )
-from oracles import sunflower_code
+from oracles import complement_code, sunflower_code
 
 
 def write_code(tmp_path, name, n, compact):
@@ -518,6 +518,16 @@ def test_analyze_sunflower_code(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["realization"]["missing"] == "11"
     assert report["realization"]["witness"].count("∩") == 9
+
+
+def test_realize_reports_the_missing_empty_word_of_60_maxima(tmp_path, capsys):
+    path = tmp_path / "complement60.code"
+    path.write_text(code_to_text(complement_code(60)))
+    t0 = time.perf_counter()
+    assert main(["realize", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr().out
+    assert out.startswith("not applicable: 0 = ") and out.count("∩") == 59
 
 
 JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n∩é'), max_size=8)

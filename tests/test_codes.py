@@ -21,7 +21,7 @@ from convexcodes import (
     word_neurons,
 )
 from convexcodes.cli import _abstract_cover_text
-from convexcodes.codes import word_key, word_label
+from convexcodes.codes import closed_sets, word_key, word_label
 from oracles import (
     bitwise_word_label,
     bitwise_word_neurons,
@@ -30,6 +30,7 @@ from oracles import (
     brute_link,
     brute_violators,
     fixpoint_completion,
+    incremental_completion,
     pairwise_maximal_codewords,
     pointwise_abstract_words,
     scan_abstract_cover_text,
@@ -214,6 +215,9 @@ def test_classify_completeness():
     good = compact(4, "123 134 13 1")
     rep = classify_completeness(good)
     assert rep.max_intersection_complete
+    # 12 ∩ 13 = 1 is missing, but the one maximal word 123 has no other intersection
+    rep = classify_completeness(compact(3, "123 12 13"))
+    assert rep.max_intersection_complete and not rep.intersection_complete
 
 
 def test_abstract_code_examples():
@@ -310,6 +314,31 @@ def test_completion_against_oracle(c):
 def test_word_algebra_matches_pairwise_references(c):
     assert maximal_codewords(c) == pairwise_maximal_codewords(c.words)
     assert intersection_completion(c).words == fixpoint_completion(c.words)
+
+
+def _walk_matches_oracles(words):
+    walk = list(closed_sets(words))
+    assert [w for w, _ in walk] == sorted(incremental_completion(words), key=tuple_word_key)
+    for w, family in walk:
+        assert family == sum(1 << a for a, v in enumerate(words) if v & w == w)
+    return {w for w, _ in walk}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=10)))
+def test_closed_sets_match_completion_oracles(words):
+    assert _walk_matches_oracles(words) == brute_completion(words)
+
+
+def test_closed_sets_edge_cases():
+    assert list(closed_sets([])) == []
+    assert list(closed_sets([0])) == [(0, 1)]
+    assert list(closed_sets([5, 5])) == [(5, 3)]
+    # the 126 proper non-empty subsets of [7]: the empty word lies in all of
+    # them, so its family mask passes 2^64
+    words = list(range(1, 127))
+    assert _walk_matches_oracles(words) == set(range(127))
+    assert next(closed_sets(words)) == (0, (1 << 126) - 1)
 
 
 @settings(max_examples=200, deadline=None)

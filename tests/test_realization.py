@@ -17,6 +17,7 @@ from convexcodes import (
     abstract_code,
     abstract_from_cover,
     check_nondegeneracy,
+    classify_completeness,
     code_of_cover,
     finite_realization,
     intersection_completion,
@@ -35,10 +36,9 @@ from convexcodes import (
 import convexcodes.realization as realization
 from convexcodes import Ball, ConvexRegion, HalfSpace
 from convexcodes.cli import _abstract_cover_text, _potential_text
-from convexcodes.codes import word_key
+from convexcodes.codes import closed_sets, word_key
 from convexcodes.realization import (
     CheckRecord,
-    _missing_intersection,
     _potential_word,
     _simplex_sides,
 )
@@ -47,9 +47,11 @@ from oracles import (
     brute_completion,
     chamber_membership_by_filter,
     combinations_missing_intersection,
+    complement_code,
     dense_potential_cover,
     dense_potential_text,
     dense_potential_word,
+    incremental_completion,
     pointwise_abstract_words,
     scan_abstract_cover_text,
     sunflower_code,
@@ -540,10 +542,10 @@ def test_realize_not_applicable_six_neuron():
 
 def _witness_both_ways(code):
     maxima = sorted(maximal_codewords(code), key=word_key)
-    completion = intersection_completion(Code(code.n, frozenset(maxima)))
+    completion = Code(code.n, frozenset(incremental_completion(maxima)))
     if completion.words <= code.words:
         return None
-    got = _missing_intersection(code, maxima, completion)
+    got = realize(code)
     assert got == combinations_missing_intersection(code, maxima, completion)
     return got
 
@@ -562,6 +564,61 @@ def test_witness_matches_combinations_oracle():
         words.add(sum(1 << i for i in rng.sample(range(16), 8)))
     got = _witness_both_ways(Code(16, frozenset(words)))
     assert got.missing == 0
+
+
+def test_realize_stops_at_the_first_missing_intersection(monkeypatch):
+    # the first closed set of the 60 maxima is their meet 0, missing from
+    # the code; the completion would hold 2^60 - 1 words
+    code = complement_code(60)
+    walk, drawn = realization.closed_sets, []
+
+    def counting(words):
+        for item in walk(words):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(realization, "closed_sets", counting)
+    t0 = time.perf_counter()
+    out = realize(code)
+    assert time.perf_counter() - t0 < 1
+    assert out == NotApplicable(0, tuple(sorted(code.words, key=word_key)))
+    assert len(drawn) == 1
+    report = classify_completeness(code)
+    assert not report.intersection_complete and not report.max_intersection_complete
+
+
+def _relabeled_closed_sets(maxima, relabel):
+    return {
+        relabel(w): frozenset(relabel(m) for a, m in enumerate(maxima) if family >> a & 1)
+        for w, family in closed_sets(maxima)
+    }
+
+
+def test_completion_questions_do_not_depend_on_neuron_names():
+    rng = random.Random(2311)
+    t0 = time.perf_counter()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        code = Code(n, frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 8))))
+        if rng.random() < 0.3:
+            code = Code(n, code.words | intersection_completion(Code(n, maximal_codewords(code))).words)
+        perm = rng.sample(range(n), n)
+
+        def relabel(w):
+            return sum(1 << perm[i] for i in range(n) if w >> i & 1)
+
+        image = Code(n, frozenset(map(relabel, code.words)))
+        assert classify_completeness(image) == classify_completeness(code)
+        maxima = tuple(maximal_codewords(code))
+        closed = _relabeled_closed_sets(maxima, relabel)
+        assert closed == _relabeled_closed_sets(tuple(map(relabel, maxima)), lambda w: w)
+        out, image_out = realize(code), realize(image)
+        assert isinstance(out, NotApplicable) == isinstance(image_out, NotApplicable)
+        if isinstance(out, NotApplicable):
+            # each witness is a missing intersection under the other labeling
+            for missing in (relabel(out.missing), image_out.missing):
+                assert missing in closed and missing not in image.words
+    assert time.perf_counter() - t0 < 1
 
 
 def test_sunflower_witness_is_all_ten_petals():
